@@ -71,8 +71,8 @@ let check_bench ~max_slowdown baseline candidate =
               base_rate
         | Some rate -> ok "metric %s: %.2f vs baseline %.2f" name rate base_rate;
       (* "speedup/..." metrics are dimensionless ratios of two rates
-         measured in the same run (e.g. calendar-queue events/sec over
-         binary-heap events/sec in bench.des), so machine noise largely
+         measured in the same run (e.g. bench.core's matching core over
+         its legacy replica), so machine noise largely
          cancels and they get a much tighter band than raw rates: the
          candidate may not fall below baseline/1.25.  Like rates, they
          only ratchet up by regenerating the baseline. *)
@@ -200,67 +200,99 @@ let check_matrix ~expected_cells path =
     cells;
   ok "%d cell(s) named and seeded consistently" count
 
-let usage () =
-  prerr_endline
-    "usage: manifest_check bench BASELINE CANDIDATE [--max-slowdown X]\n\
-    \       manifest_check golden GOLDEN CANDIDATE [--counters k1,k2,...]\n\
-    \       manifest_check serve REFERENCE CANDIDATE\n\
-    \       manifest_check matrix SUMMARY [--cells N]";
-  exit 2
+let usage_text =
+  "usage: manifest_check bench BASELINE CANDIDATE [--max-slowdown X]\n\
+  \       manifest_check golden GOLDEN CANDIDATE [--counters k1,k2,...]\n\
+  \       manifest_check serve REFERENCE CANDIDATE\n\
+  \       manifest_check matrix SUMMARY [--cells N]"
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("manifest_check: " ^ msg);
+      prerr_endline usage_text;
+      exit 2)
+    fmt
+
+(* Read an input file, turning every way it can be bad into one named
+   usage error. *)
+let read what f path =
+  try f path with
+  | Sys_error msg -> usage_error "cannot read %s: %s" what msg
+  | Stratify_obs.Jsonx.Parse_error msg | Invalid_argument msg | Failure msg ->
+      usage_error "bad %s %s: %s" what path msg
 
 let () =
-  let argv = Array.to_list Sys.argv in
+  let argv = List.tl (Array.to_list Sys.argv) in
+  if List.exists (fun a -> a = "--help" || a = "-h") argv then begin
+    print_endline usage_text;
+    exit 0
+  end;
   (* Flags may appear anywhere after the mode: split them out first. *)
   let rec split_flags = function
     | [] -> ([], [])
     | k :: v :: rest when String.length k >= 2 && String.sub k 0 2 = "--" ->
         let flags, pos = split_flags rest in
         ((k, v) :: flags, pos)
-    | k :: [] when String.length k >= 2 && String.sub k 0 2 = "--" -> usage ()
+    | [ k ] when String.length k >= 2 && String.sub k 0 2 = "--" ->
+        usage_error "%s needs a value" k
     | p :: rest ->
         let flags, pos = split_flags rest in
         (flags, p :: pos)
   in
-  let opt key flags = List.assoc_opt key flags in
-  match argv with
-  | _ :: "matrix" :: rest -> (
-      let flags, positional = split_flags rest in
-      match positional with
-      | [ path ] ->
-          Printf.printf "matrix: %s\n" path;
-          let expected_cells = Option.map int_of_string (opt "--cells" flags) in
-          check_matrix ~expected_cells path;
-          if !failures > 0 then begin
-            Printf.printf "%d check(s) failed\n" !failures;
-            exit 1
-          end
-          else print_endline "all checks passed"
-      | _ -> usage ())
-  | _ :: mode :: rest -> (
-      let rest, positional = split_flags rest in
-      match positional with
-      | [ base_path; cand_path ] -> (
-      let baseline = M.read base_path and candidate = M.read cand_path in
+  let mode, rest =
+    match argv with
+    | mode :: rest -> (mode, rest)
+    | [] -> usage_error "no mode given"
+  in
+  let allowed =
+    match mode with
+    | "bench" -> [ "--max-slowdown" ]
+    | "golden" -> [ "--counters" ]
+    | "serve" -> []
+    | "matrix" -> [ "--cells" ]
+    | _ -> usage_error "unknown mode %s" mode
+  in
+  let flags, positional = split_flags rest in
+  List.iter
+    (fun (k, _) -> if not (List.mem k allowed) then usage_error "unknown flag %s for %s" k mode)
+    flags;
+  let opt key = List.assoc_opt key flags in
+  (match (mode, positional) with
+  | "matrix", [ path ] ->
+      Printf.printf "matrix: %s\n" path;
+      let expected_cells =
+        Option.map
+          (fun v ->
+            match int_of_string_opt v with
+            | Some n -> n
+            | None -> usage_error "bad --cells %S (want an integer)" v)
+          (opt "--cells")
+      in
+      read "summary" (check_matrix ~expected_cells) path
+  | "matrix", _ -> usage_error "matrix takes one SUMMARY"
+  | _, [ base_path; cand_path ] -> (
+      let baseline = read "manifest" M.read base_path
+      and candidate = read "manifest" M.read cand_path in
       Printf.printf "%s: %s vs %s\n" mode base_path cand_path;
-          (match mode with
-          | "bench" ->
-              let max_slowdown =
-                match opt "--max-slowdown" rest with
-                | Some s -> float_of_string s
-                | None -> 2.0
-              in
-              check_bench ~max_slowdown baseline candidate
-          | "golden" ->
-              let counters =
-                Option.map (String.split_on_char ',') (opt "--counters" rest)
-              in
-              check_golden ~counters baseline candidate
-          | "serve" -> check_serve baseline candidate
-          | _ -> usage ());
-          if !failures > 0 then begin
-            Printf.printf "%d check(s) failed\n" !failures;
-            exit 1
-          end
-          else print_endline "all checks passed")
-      | _ -> usage ())
-  | _ -> usage ()
+      match mode with
+      | "bench" ->
+          let max_slowdown =
+            match opt "--max-slowdown" with
+            | None -> 2.0
+            | Some v -> (
+                match float_of_string_opt v with
+                | Some x -> x
+                | None -> usage_error "bad --max-slowdown %S (want a number)" v)
+          in
+          check_bench ~max_slowdown baseline candidate
+      | "golden" ->
+          check_golden ~counters:(Option.map (String.split_on_char ',') (opt "--counters")) baseline
+            candidate
+      | _ -> check_serve baseline candidate)
+  | _ -> usage_error "%s takes two manifests" mode);
+  if !failures > 0 then begin
+    Printf.printf "%d check(s) failed\n" !failures;
+    exit 1
+  end
+  else print_endline "all checks passed"

@@ -94,26 +94,18 @@ let profile_phases_arg =
   in
   Arg.(value & flag & info [ "profile-phases" ] ~doc)
 
-let queue_arg =
-  let doc =
-    "DES event-queue backend for every engine the run creates: 'heap' (binary heap, the \
-     default), 'calendar' (O(1) amortized calendar queue, best for near-uniform latency \
-     spreads) or 'ladder' (ladder queue, robust to skewed/bursty schedules).  All backends pop \
-     events in the same total (time, seq) order, so every output — reports, CSVs, manifests — \
-     is byte-identical across backends; only events/sec changes (measured by bench.des)."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           (List.map
-              (fun b -> (Stratify_des.Engine.backend_name b, b))
-              Stratify_des.Engine.backends))
-        Stratify_des.Engine.Heap
-    & info [ "queue" ] ~docv:"BACKEND" ~doc)
+(* Exit codes: 0 on success and for --help/--version; 2 for a command
+   line that does not parse or validate (an unknown flag, a bad value),
+   like the repo's other binaries; 125 for an uncaught exception. *)
+let exits =
+  [
+    Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 2 ~doc:"on a command line that does not parse or validate.";
+    Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an unexpected internal error.";
+  ]
 
 let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-    profile_phases queue =
+    profile_phases =
   let ctx =
     {
       E.seed;
@@ -126,7 +118,6 @@ let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band
       bands;
       band_overlap;
       profile_phases;
-      queue;
     }
   in
   (* Same checks (and messages) as the library entry point. *)
@@ -135,10 +126,10 @@ let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band
   | exception Invalid_argument msg -> `Error (false, msg)
 
 let run_experiment entry seed scale csv_dir jobs manifest_dir n_override scheduler bands
-    band_overlap profile_phases queue =
+    band_overlap profile_phases =
   match
     context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-      profile_phases queue
+      profile_phases
   with
   | `Error _ as e -> e
   | `Ok ctx ->
@@ -148,44 +139,49 @@ let run_experiment entry seed scale csv_dir jobs manifest_dir n_override schedul
 let experiment_cmd ((name, description, _) as entry) =
   let doc = Printf.sprintf "Regenerate %s of the paper (%s)." name description in
   Cmd.v
-    (Cmd.info name ~doc)
+    (Cmd.info name ~doc ~exits)
     Term.(
       ret
         (const (run_experiment entry) $ seed_arg $ scale_arg $ csv_arg $ jobs_arg $ manifest_arg
-       $ n_arg $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg $ queue_arg))
+       $ n_arg $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg))
 
 let all_cmd =
   let doc = "Run every experiment in sequence." in
   let run seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-      profile_phases queue =
+      profile_phases =
     match
       context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-        profile_phases queue
+        profile_phases
     with
     | `Error _ as e -> e
     | `Ok ctx ->
         List.iter (E.run_named ctx) E.all;
         `Ok ()
   in
-  Cmd.v (Cmd.info "all" ~doc)
+  Cmd.v (Cmd.info "all" ~doc ~exits)
     Term.(
       ret
         (const run $ seed_arg $ scale_arg $ csv_arg $ jobs_arg $ manifest_arg $ n_arg
-       $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg $ queue_arg))
+       $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg))
 
 let list_cmd =
   let doc = "List available experiments." in
   let run () =
     List.iter (fun (name, description, _) -> Printf.printf "%-8s %s\n" name description) E.all
   in
-  Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
+  Cmd.v (Cmd.info "list" ~doc ~exits) Term.(const run $ const ())
 
 let main =
   let doc =
     "Reproduction experiments for 'Stratification in P2P Networks - Application to BitTorrent' \
      (Gai, Mathieu, Reynier & de Montgolfier, ICDCS 2007)."
   in
-  let info = Cmd.info "stratify_experiments" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "stratify_experiments" ~version:"1.0.0" ~doc ~exits in
   Cmd.group info (all_cmd :: list_cmd :: List.map experiment_cmd E.all)
 
-let () = exit (Cmd.eval main)
+let () =
+  exit
+    (match Cmd.eval_value main with
+    | Ok (`Ok () | `Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -2,7 +2,7 @@
 
    Usage:
      stratify_matrix [--seed N] [--filter SUB] [--shard K/M] [--jobs J]
-                     [--queue BACKEND] [--out DIR] [--summary FILE]
+                     [--out DIR] [--summary FILE]
                      [--baseline FILE] [--report FILE] [--write-baseline FILE]
      stratify_matrix --list [--seed N] [--filter SUB] [--shard K/M]
      stratify_matrix --merge OUT.json SHARD.json [SHARD.json ...]
@@ -21,42 +21,49 @@
    combines shard summaries (same matrix seed required) into one, for the
    CI aggregation step.
 
-   --queue selects the DES event-queue backend for every cell run
-   (heap | calendar | ladder).  Backends pop in the same total
-   (time, seq) order, so cell manifests are byte-identical across
-   backends — the CI spot check re-runs one shard per backend and
-   diffs the manifest trees.
+   --help prints the usage and exits 0.
 
    Exit status: 0 all selected cells passed and no baseline regression;
-   1 otherwise; 2 usage error. *)
+   1 otherwise; 2 usage error (unknown flag, bad value, unreadable
+   file), reported as one named error. *)
 
-module Engine = Stratify_des.Engine
 module Matrix = Stratify_net_plan.Matrix
 module Plan = Stratify_net_plan.Plan
 module Report = Stratify_cli.Matrix_report
 module Manifest = Stratify_obs.Run_manifest
 module Exec = Stratify_exec.Exec
 
-let usage () =
-  prerr_endline
-    "usage: stratify_matrix [--seed N] [--filter SUB] [--shard K/M] [--jobs J]\n\
-    \                       [--queue BACKEND] [--out DIR] [--summary FILE]\n\
-    \                       [--baseline FILE] [--report FILE] [--write-baseline FILE]\n\
-    \       stratify_matrix --list [--seed N] [--filter SUB] [--shard K/M]\n\
-    \       stratify_matrix --merge OUT.json SHARD.json [SHARD.json ...] [flags]";
-  exit 2
+let usage_text =
+  "usage: stratify_matrix [--seed N] [--filter SUB] [--shard K/M] [--jobs J]\n\
+  \                       [--out DIR] [--summary FILE]\n\
+  \                       [--baseline FILE] [--report FILE] [--write-baseline FILE]\n\
+  \       stratify_matrix --list [--seed N] [--filter SUB] [--shard K/M]\n\
+  \       stratify_matrix --merge OUT.json SHARD.json [SHARD.json ...] [flags]"
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("stratify_matrix: " ^ msg);
+      prerr_endline usage_text;
+      exit 2)
+    fmt
 
 let parse_shard s =
   match String.split_on_char '/' s with
   | [ k; m ] -> (
       match (int_of_string_opt k, int_of_string_opt m) with
       | Some k, Some m when m >= 1 && k >= 1 && k <= m -> (k, m)
-      | _ ->
-          Printf.eprintf "stratify_matrix: bad --shard %S (want K/M with 1 <= K <= M)\n" s;
-          exit 2)
-  | _ ->
-      Printf.eprintf "stratify_matrix: bad --shard %S (want K/M)\n" s;
-      exit 2
+      | _ -> fail "bad --shard %S (want K/M with 1 <= K <= M)" s)
+  | _ -> fail "bad --shard %S (want K/M)" s
+
+let parse_int flag v =
+  match int_of_string_opt v with Some n -> n | None -> fail "bad %s %S (want an integer)" flag v
+
+let read_summary path =
+  try Report.read path with
+  | Sys_error msg -> fail "cannot read summary: %s" msg
+  | Stratify_obs.Jsonx.Parse_error msg | Invalid_argument msg | Failure msg ->
+      fail "bad summary %s: %s" path msg
 
 type opts = {
   mutable seed : int;
@@ -96,7 +103,7 @@ let parse_args () =
         o.list_only <- true;
         go rest
     | "--seed" :: v :: rest ->
-        o.seed <- int_of_string v;
+        o.seed <- parse_int "--seed" v;
         go rest
     | "--filter" :: v :: rest ->
         o.filter <- Some v;
@@ -105,17 +112,8 @@ let parse_args () =
         o.shard <- Some (parse_shard v);
         go rest
     | "--jobs" :: v :: rest ->
-        o.jobs <- int_of_string v;
+        o.jobs <- parse_int "--jobs" v;
         go rest
-    | "--queue" :: v :: rest -> (
-        match Engine.backend_of_string v with
-        | Some b ->
-            Engine.set_default_backend b;
-            go rest
-        | None ->
-            Printf.eprintf "stratify_matrix: unknown queue backend %S (heap | calendar | ladder)\n"
-              v;
-            exit 2)
     | "--out" :: v :: rest ->
         o.out <- v;
         go rest
@@ -134,9 +132,11 @@ let parse_args () =
     | "--merge" :: rest ->
         o.merge_mode <- true;
         go rest
-    | flag :: _ when String.length flag >= 2 && String.sub flag 0 2 = "--" ->
-        Printf.eprintf "stratify_matrix: unknown or incomplete flag %s\n" flag;
-        usage ()
+    | ("--help" | "-h") :: _ ->
+        print_endline usage_text;
+        exit 0
+    | flag :: _ when String.length flag > 1 && flag.[0] = '-' ->
+        fail "unknown or incomplete flag %s" flag
     | p :: rest ->
         o.positional <- o.positional @ [ p ];
         go rest
@@ -160,7 +160,7 @@ let finish o summary =
     match o.baseline with
     | None -> None
     | Some path ->
-        if Sys.file_exists path then Some (Report.read path)
+        if Sys.file_exists path then Some (read_summary path)
         else begin
           Printf.printf "baseline %s not found — treating every cell as new\n" path;
           None
@@ -188,7 +188,7 @@ let () =
   if o.merge_mode then begin
     match o.positional with
     | out :: (_ :: _ as shards) ->
-        let merged = Report.merge (List.map Report.read shards) in
+        let merged = Report.merge (List.map read_summary shards) in
         Report.write out merged;
         Printf.printf "merged %d shard(s): %d cells -> %s\n" (List.length shards)
           (List.length merged.Report.cells) out;
@@ -198,12 +198,10 @@ let () =
         in
         if failed > 0 then Printf.printf "%d cell(s) failed\n" failed;
         if failed > 0 || regressions > 0 then exit 1
-    | _ ->
-        prerr_endline "stratify_matrix: --merge needs OUT.json and at least one shard";
-        exit 2
+    | _ -> fail "--merge needs OUT.json and at least one shard"
   end
   else begin
-    if o.positional <> [] then usage ();
+    if o.positional <> [] then fail "unexpected argument %s" (List.hd o.positional);
       let cells = select o in
       if o.list_only then begin
         Array.iter

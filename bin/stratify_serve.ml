@@ -1,18 +1,17 @@
 (* The request-driven service frontend (see lib/serve/serve.mli).
 
    Script mode:
-     stratify_serve [--out DIR] [--queue BACKEND] SCRIPT.serve
+     stratify_serve [--out DIR] SCRIPT.serve
        run the script to its horizon and write the kind:"serve" run
        manifest to DIR (default results/manifests/serve) as
        <name>-<seed>.json.
      stratify_serve --stop-at T --snapshot SNAP.json SCRIPT.serve
        run to simulated time T, serialize the complete world to
        SNAP.json and exit without a manifest.
-     stratify_serve --resume SNAP.json [--out DIR] [--queue BACKEND]
+     stratify_serve --resume SNAP.json [--out DIR]
        restore the world (the script travels inside the snapshot) and
        run on to the horizon; the manifest is byte-identical to the
-       uninterrupted run's — for any --queue on either side, which the
-       serve-suite CI job pins.
+       uninterrupted run's, which the serve-suite CI job pins.
 
    Stdio mode:
      stratify_serve --stdio SCRIPT.serve
@@ -24,9 +23,12 @@
          snapshot PATH     serialize the world
          quit
        Request errors (unknown swarm, peer out of range, bad syntax)
-       print "ERR ..." and the loop continues. *)
+       print "ERR ..." and the loop continues.
 
-module Engine = Stratify_des.Engine
+   --help prints the usage and exits 0.  An unknown flag, a missing
+   argument or an unreadable script or snapshot prints one named error
+   and exits 2. *)
+
 module Request = Stratify_serve.Request
 module Serve = Stratify_serve.Serve
 module Manifest = Stratify_obs.Run_manifest
@@ -44,11 +46,25 @@ let write_file path s =
   output_char oc '\n';
   close_out oc
 
-let usage () =
-  prerr_endline
-    "usage: stratify_serve [--out DIR] [--queue BACKEND] [--stop-at T \
-     --snapshot SNAP] [--resume SNAP] [--stdio] [SCRIPT.serve]";
-  exit 2
+let usage_text =
+  "usage: stratify_serve [--out DIR] [--stop-at T --snapshot SNAP] [--resume SNAP] [--stdio] \
+   [SCRIPT.serve]"
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("stratify_serve: " ^ msg);
+      prerr_endline usage_text;
+      exit 2)
+    fmt
+
+(* Load a script or snapshot, turning every way the file can be bad into
+   one named error. *)
+let load what path f =
+  try f path with
+  | Sys_error msg -> fail "cannot read %s: %s" what msg
+  | Stratify_obs.Jsonx.Parse_error msg | Invalid_argument msg ->
+      fail "bad %s %s: %s" what path msg
 
 let stdio_loop t =
   let finished = ref false in
@@ -100,24 +116,12 @@ let () =
     | "--out" :: dir :: rest ->
         out := dir;
         parse rest
-    | "--queue" :: name :: rest -> (
-        match Engine.backend_of_string name with
-        | Some b ->
-            Engine.set_default_backend b;
-            parse rest
-        | None ->
-            Printf.eprintf
-              "stratify_serve: unknown queue backend %S (heap | calendar | ladder)\n"
-              name;
-            exit 2)
     | "--stop-at" :: time :: rest -> (
         match float_of_string_opt time with
         | Some x when x > 0. ->
             stop_at := Some x;
             parse rest
-        | _ ->
-            Printf.eprintf "stratify_serve: bad --stop-at time %S\n" time;
-            exit 2)
+        | _ -> fail "bad --stop-at time %S" time)
     | "--snapshot" :: path :: rest ->
         snapshot_path := Some path;
         parse rest
@@ -127,8 +131,12 @@ let () =
     | "--stdio" :: rest ->
         stdio := true;
         parse rest
-    | ("--out" | "--stop-at" | "--snapshot" | "--resume") :: [] -> usage ()
-    | "--queue" :: [] -> usage ()
+    | ("--help" | "-h") :: _ ->
+        print_endline usage_text;
+        exit 0
+    | [ ("--out" | "--stop-at" | "--snapshot" | "--resume") as flag ] ->
+        fail "%s needs an argument" flag
+    | flag :: _ when String.length flag > 1 && flag.[0] = '-' -> fail "unknown flag %s" flag
     | p :: rest ->
         paths := p :: !paths;
         parse rest
@@ -137,25 +145,19 @@ let () =
   let t =
     match (!resume, List.rev !paths) with
     | Some snap, [] ->
-        let ic = open_in snap in
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        close_in ic;
-        Serve.restore_string s
-    | None, [ script ] -> Serve.create (Request.load script)
-    | Some _, _ :: _ ->
-        prerr_endline "stratify_serve: --resume takes no script (it travels inside the snapshot)";
-        exit 2
-    | None, _ -> usage ()
+        load "snapshot" snap (fun path ->
+            Serve.restore_string (In_channel.with_open_bin path In_channel.input_all))
+    | None, [ script ] -> load "script" script (fun path -> Serve.create (Request.load path))
+    | Some _, _ :: _ -> fail "--resume takes no script (it travels inside the snapshot)"
+    | None, [] -> fail "no script given"
+    | None, _ :: _ :: _ -> fail "one script at a time"
   in
   if !stdio then begin
     stdio_loop t;
     exit 0
   end;
   (match (!stop_at, !snapshot_path) with
-  | Some _, None | None, Some _ ->
-      prerr_endline "stratify_serve: --stop-at and --snapshot go together";
-      exit 2
+  | Some _, None | None, Some _ -> fail "--stop-at and --snapshot go together"
   | _ -> ());
   match !stop_at with
   | Some time ->

@@ -357,11 +357,11 @@ module Des = struct
         for _ = 1 to msgs do
           Net.send_packed d.net ~src:sender ~dst:receiver ~kind:kind_piece
         done);
-    Engine.set_packed_handler (Net.engine net) (fun eng code ->
+    Net.set_handler net (fun eng code ->
         if Net.Packed.kind code = kind_piece then begin
           d.pieces_delivered <- d.pieces_delivered + 1;
           (* FNV-style fold of the delivery order: identical across
-             `--queue` backends iff the pop sequences are identical *)
+             runs iff the pop sequences are identical *)
           d.checksum <- (d.checksum lxor code) * 0x01000193 land max_int
         end
         else begin

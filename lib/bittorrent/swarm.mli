@@ -116,16 +116,14 @@ val set_on_transfer : t -> (int -> int -> float -> unit) -> unit
     ([amount / chunk], at least one) routed through
     [Net.send_packed] — latency, loss, reordering and duplication apply
     per message, with all of a tick's fault draws batched behind one
-    RNG advance ([Net.burst_begin]).  The engine's `--queue` backend
-    choice never changes {!checksum} (pop order is the total
-    (time, seq) order for every backend); it only changes events/sec —
-    measured by bench.des on this very workload. *)
+    RNG advance ([Net.burst_begin]).  bench.des measures events/sec
+    on this very workload. *)
 module Des : sig
   type driver
 
   val create : t -> net:Stratify_net.Net.t -> chunk:float -> driver
-  (** Wire a swarm to a network: installs the packed-event handler on
-      the network's engine and the {!set_on_transfer} hook on the
+  (** Wire a swarm to a network: installs the network's handler
+      ([Net.set_handler]) and the {!set_on_transfer} hook on the
       swarm.  [chunk] is the data units per piece message.  Raises
       [Invalid_argument] when [chunk <= 0]. *)
 
@@ -141,6 +139,6 @@ module Des : sig
       count). *)
 
   val checksum : driver -> int
-  (** FNV-style fold of the piece-delivery order — byte-identical
-      across `--queue` backends. *)
+  (** FNV-style fold of the piece-delivery order — a pure function of
+      the engine's (time, seq) pop order. *)
 end

@@ -44,10 +44,21 @@ let wants t p q =
 
 (* ---- protocol ------------------------------------------------------ *)
 
-(* Every message now crosses the network layer, which applies partition,
-   loss, latency, reordering and duplication faults; the keepalive audits
-   are what make the protocol safe under all of them. *)
-let send t ~src ~dst handler = Net.send t.net ~src ~dst handler
+(* Every message is a packed event code [(kind, src, dst)] and crosses
+   the network layer, which applies partition, loss, latency, reordering
+   and duplication faults; the keepalive audits are what make the
+   protocol safe under all of them.  Initiative clocks are events of the
+   same engine, scheduled directly. *)
+let kind_clock = 0
+let kind_propose = 1
+let kind_accept = 2
+let kind_commit = 3
+let kind_retract = 4 (* dst drops src from its mate list *)
+let kind_probe = 5
+let kind_reply_listed = 6 (* probe reply: src listed dst at probe time *)
+let kind_reply_unlisted = 7
+
+let send t ~src ~dst kind = Net.send t.net ~src ~dst (Net.Packed.pack ~kind ~src ~dst)
 
 (* p makes room for a new mate, notifying the evicted peer. *)
 let make_room t p =
@@ -55,10 +66,10 @@ let make_room t p =
     match worst t p with
     | Some w ->
         remove t p w;
-        send t ~src:p ~dst:w (fun _ -> remove t w p)
+        send t ~src:p ~dst:w kind_retract
     | None -> ()
 
-let handle_commit t ~from_:p ~to_:q _engine =
+let handle_commit t ~from_:p ~to_:q =
   (* q finalises: idempotent if already mutual; retract if q changed its
      mind while the commit was in flight. *)
   if listed t q p then ()
@@ -66,26 +77,26 @@ let handle_commit t ~from_:p ~to_:q _engine =
     make_room t q;
     t.mates.(q) <- insert_sorted p t.mates.(q)
   end
-  else send t ~src:q ~dst:p (fun _ -> remove t p q)
+  else send t ~src:q ~dst:p kind_retract
 
-let handle_accept t ~from_:q ~to_:p _engine =
+let handle_accept t ~from_:q ~to_:p =
   (* p re-validates on current state before committing. *)
   if listed t p q then ()
   else if wants t p q then begin
     make_room t p;
     t.mates.(p) <- insert_sorted q t.mates.(p);
-    send t ~src:p ~dst:q (handle_commit t ~from_:p ~to_:q)
+    send t ~src:p ~dst:q kind_commit
   end
 
-let handle_propose t ~from_:p ~to_:q _engine =
-  if wants t q p then send t ~src:q ~dst:p (handle_accept t ~from_:q ~to_:p)
+let handle_propose t ~from_:p ~to_:q =
+  if wants t q p then send t ~src:q ~dst:p kind_accept
 
 let initiative t p =
   let len = Instance.degree t.instance p in
   if len > 0 then begin
     let q = Instance.acceptable_at t.instance p (Rng.int t.rng len) in
     (* Random strategy: propose if q looks attractive on local state. *)
-    if wants t p q then send t ~src:p ~dst:q (handle_propose t ~from_:p ~to_:q)
+    if wants t p q then send t ~src:p ~dst:q kind_propose
   end;
   (* Keepalive audit: probe one current mate; stale one-sided listings
      (races between crossing retracts and re-adds) get repaired instead of
@@ -94,42 +105,49 @@ let initiative t p =
   | [] -> ()
   | l ->
       let m = List.nth l (Rng.int t.rng (List.length l)) in
-      send t ~src:p ~dst:m (fun _ ->
-          (* m answers with its state at probe time... *)
-          let mates_at_probe = listed t m p in
-          send t ~src:m ~dst:p (fun _ ->
-              (* ...and p acts on the reply (m may have re-added since; its
-                 own audits repair the inverse ghost if so). *)
-              if (not mates_at_probe) && listed t p m then remove t p m))
+      send t ~src:p ~dst:m kind_probe
 
-let rec arm_clock t p =
+let arm_clock t p =
   let delay = Dist.exponential t.rng ~rate:t.params.initiative_rate in
-  Engine.schedule (Net.engine t.net) ~delay (fun _ ->
-      if t.live then begin
-        initiative t p;
-        arm_clock t p
-      end)
+  Engine.schedule_packed (Net.engine t.net) ~delay (Net.Packed.pack ~kind:kind_clock ~src:p ~dst:0)
 
-let create ?backend ?net instance rng params =
+let dispatch t _engine code =
+  let src = Net.Packed.src code and dst = Net.Packed.dst code in
+  match Net.Packed.kind code with
+  | 0 (* clock *) ->
+      if t.live then begin
+        initiative t src;
+        arm_clock t src
+      end
+  | 1 (* propose *) -> handle_propose t ~from_:src ~to_:dst
+  | 2 (* accept *) -> handle_accept t ~from_:src ~to_:dst
+  | 3 (* commit *) -> handle_commit t ~from_:src ~to_:dst
+  | 4 (* retract *) -> remove t dst src
+  | 5 (* probe *) ->
+      (* the probed mate answers with its state at probe time... *)
+      send t ~src:dst ~dst:src (if listed t dst src then kind_reply_listed else kind_reply_unlisted)
+  | 6 (* reply_listed *) -> ()
+  | 7 (* reply_unlisted *) ->
+      (* ...and the prober acts on the reply (the mate may have re-added
+         since; its own audits repair the inverse ghost if so). *)
+      if listed t dst src then remove t dst src
+  | k -> invalid_arg (Printf.sprintf "Async_dynamics: unknown event kind %d" k)
+
+let create ?net instance rng params =
   if params.latency < 0. then invalid_arg "Async_dynamics: negative latency";
   if params.initiative_rate <= 0. then invalid_arg "Async_dynamics: rate must be positive";
   if params.loss < 0. || params.loss >= 1. then
     invalid_arg "Async_dynamics: loss must be in [0,1)";
-  (match (backend, net) with
-  | Some _, Some _ ->
-      invalid_arg "Async_dynamics: ?backend applies to the internally built net; pass one or the other"
-  | _ -> ());
+  if Instance.n instance > 1 lsl Net.Packed.id_bits then
+    invalid_arg "Async_dynamics: more peers than Net.Packed ids";
   let net =
     match net with
     | Some n -> n
     | None ->
         (* Legacy fault model: constant latency, optional i.i.d. loss.
-           [Iid 0.] and [Constant] draw nothing, so this network is
-           draw-for-draw identical to the old direct-[Engine.schedule]
-           path and preserves goldens bit-for-bit.  The queue backend
-           changes pop mechanics only, never pop order, so it too is
-           draw-for-draw invisible (`--queue` invariance). *)
-        Net.create ~engine:(Engine.create ?backend ()) rng
+           [Iid 0.] and [Constant] draw nothing, so a loss-free network
+           consumes no randomness. *)
+        Net.create rng
           {
             latency = Net.Constant params.latency;
             loss = (if params.loss > 0. then Net.Iid params.loss else Net.No_loss);
@@ -141,6 +159,7 @@ let create ?backend ?net instance rng params =
   let t =
     { instance; params; rng; net; mates = Array.make (Instance.n instance) []; live = true }
   in
+  Net.set_handler net (dispatch t);
   for p = 0 to Instance.n instance - 1 do
     arm_clock t p
   done;

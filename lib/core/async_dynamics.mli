@@ -35,7 +35,6 @@ type outcome =
 type t
 
 val create :
-  ?backend:Stratify_des.Engine.backend ->
   ?net:Stratify_net.Net.t ->
   Instance.t ->
   Stratify_prng.Rng.t ->
@@ -46,18 +45,12 @@ val create :
     availability oracle.
 
     Without [?net], messages cross a private fault-free-by-default
-    network built from [params]: constant [latency], i.i.d. [loss] — the
-    legacy fault model, bit-identical to the historical
-    direct-[Engine.schedule] path.  [?backend] selects the event-queue
-    backend of that private network's engine (default:
-    {!Stratify_des.Engine.default_backend}); every backend pops in the
-    same total [(time, seq)] order, so results are backend-invariant —
-    only events/sec changes (bench.des measures this workload).  With
-    [?net], all messages route through the given network (its
-    latency/loss/duplication/reordering/partition faults apply;
-    [params.latency] and [params.loss] are ignored, and [?backend] is
-    rejected — choose the backend when building the network's engine)
-    and the dynamics runs on that network's engine — this is how the
+    network built from [params]: constant [latency], i.i.d. [loss] —
+    the legacy fault model.  With [?net], all messages route through
+    the given network (its latency/loss/duplication/reordering/partition
+    faults apply; [params.latency] and [params.loss] are ignored) and
+    the dynamics runs on that network's engine, whose handler it
+    installs ({!Stratify_net.Net.set_handler}) — this is how the
     scenario harness injects faults. *)
 
 val net : t -> Stratify_net.Net.t

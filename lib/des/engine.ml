@@ -1,73 +1,35 @@
-(* Discrete-event engine over pluggable queue backends.
+(* Discrete-event engine over one binary min-heap of packed events.
 
-   Events live in a structure-of-arrays slot store threaded by a free
-   list: a float time, an int payload code, and (only for legacy
-   closure events) a callback.  The queue backends (Binq / Calq / Ladq)
-   order plain int slots by the total key (time, seq), so every backend
-   pops the identical sequence and `--queue` never changes results —
-   the same invariance discipline as `--jobs` and `--bands`.
+   The heap is a structure of arrays keyed by the total order
+   (time, seq): [kt] holds event times, [ks] the engine's insertion
+   sequence (which breaks time ties in scheduling order), [kc] the
+   event code.  Because the key is total, the pop sequence is a pure
+   function of the schedule calls — the determinism every golden,
+   matrix manifest and serve snapshot rests on.
 
-   The hot path is allocation-free in steady state: scheduling a packed
-   event writes scalars into recycled slot arrays and backend pools;
-   firing one reads them back and dispatches on the int code through
-   the installed handler.  Three non-flambda boxing traps shape the
-   code: freshly computed floats must not cross function boundaries
-   (backends read the event time from the shared [st] array instead of
-   a float argument), the clock lives in an all-float record (a mutable
-   float field in the main mixed record would box on every store), and
-   float comparisons stay on locally loaded values.
-
-   Closure events still allocate their closure (by nature) but release
-   it eagerly: the slot's [sf] cell is reset to a shared null function
-   the moment the event fires, so fired callbacks never linger in the
-   pool — the same leak class fixed in [Pqueue.pop]. *)
-
-type backend = Heap | Calendar | Ladder
-
-let backends = [ Heap; Calendar; Ladder ]
-let backend_name = function Heap -> "heap" | Calendar -> "calendar" | Ladder -> "ladder"
-
-let backend_of_string = function
-  | "heap" -> Some Heap
-  | "calendar" -> Some Calendar
-  | "ladder" -> Some Ladder
-  | _ -> None
-
-(* The process-wide default, set once from `--queue` by the CLI drivers
-   so every engine created behind Net / Async_dynamics / Plan picks it
-   up without threading a parameter through each constructor. *)
-let default = Atomic.make Heap
-let set_default_backend b = Atomic.set default b
-let default_backend () = Atomic.get default
-
-type queue = Qh of Binq.t | Qc of Calq.t | Ql of Ladq.t
+   The hot path is allocation-free in steady state: scheduling writes
+   three scalars into recycled arrays, firing reads them back and
+   dispatches on the int code through the installed handler.  Two
+   non-flambda boxing traps shape the code: a freshly computed event
+   time is stored straight into the [kt] float array rather than passed
+   to a helper as a float argument, and the clock lives in an all-float
+   record (a mutable float field in the main mixed record would box on
+   every store). *)
 
 (* All-float record: an unboxed mutable cell for the simulated clock. *)
 type clock = { mutable now_ : float }
 
 type t = {
-  mutable queue : queue;
-      (* replaced wholesale by [dump_packed]: a drained backend queue's
-         pop cursor sits past every pending time, so rebuilding must
-         start from a fresh queue *)
   clock : clock;
-  (* slot store (structure of arrays) *)
-  mutable st : float array; (* slot -> event time *)
-  mutable sc : int array; (* slot -> packed code, -1 for closure events *)
-  mutable sf : (t -> unit) array; (* slot -> callback (null_fn when unused) *)
-  mutable sn : int array; (* free-list links *)
-  mutable free : int;
+  mutable kt : float array; (* heap: event time *)
+  mutable ks : int array; (* heap: insertion sequence *)
+  mutable kc : int array; (* heap: event code *)
+  mutable len : int;
   mutable next_seq : int;
-  mutable npending : int;
-  mutable packed : t -> int -> unit;
-  (* profile row names, precomputed so instrumentation never builds strings *)
-  drain_kernel : string;
-  run_kernel : string;
+  mutable handler : t -> int -> unit;
 }
 
-let null_fn : t -> unit = fun _ -> ()
-
-let no_packed_handler (_ : t) (_ : int) =
+let no_handler (_ : t) (_ : int) =
   invalid_arg "Engine: packed event fired but no packed handler is installed"
 
 (* Bumped when a [drain] call gives up because its event budget ran out —
@@ -76,90 +38,65 @@ let no_packed_handler (_ : t) (_ : int) =
    outcome; the counter makes it visible in run manifests too. *)
 let drain_budget_exhausted = Stratify_obs.Counter.make "des.drain_budget_exhausted"
 
-let create ?backend () =
-  let backend = match backend with Some b -> b | None -> Atomic.get default in
-  let queue =
-    match backend with
-    | Heap -> Qh (Binq.create ())
-    | Calendar -> Qc (Calq.create ())
-    | Ladder -> Ql (Ladq.create ())
-  in
-  let name = backend_name backend in
+let create () =
   {
-    queue;
     clock = { now_ = 0. };
-    st = [||];
-    sc = [||];
-    sf = [||];
-    sn = [||];
-    free = -1;
+    kt = [||];
+    ks = [||];
+    kc = [||];
+    len = 0;
     next_seq = 0;
-    npending = 0;
-    packed = no_packed_handler;
-    drain_kernel = "des.drain." ^ name;
-    run_kernel = "des.run_until." ^ name;
+    handler = no_handler;
   }
 
-let backend t = match t.queue with Qh _ -> Heap | Qc _ -> Calendar | Ql _ -> Ladder
 let now t = t.clock.now_
-let pending t = t.npending
-let set_packed_handler t f = t.packed <- f
+let pending t = t.len
+let set_packed_handler t f = t.handler <- f
 
-let grow_slots t =
-  let cap = Array.length t.sn in
-  let cap' = max 16 (2 * cap) in
-  let st = Array.make cap' 0.
-  and sc = Array.make cap' (-1)
-  and sf = Array.make cap' null_fn
-  and sn = Array.make cap' (-1) in
-  Array.blit t.st 0 st 0 cap;
-  Array.blit t.sc 0 sc 0 cap;
-  Array.blit t.sf 0 sf 0 cap;
-  Array.blit t.sn 0 sn 0 cap;
-  for i = cap to cap' - 2 do
-    sn.(i) <- i + 1
-  done;
-  sn.(cap' - 1) <- t.free;
-  t.free <- cap;
-  t.st <- st;
-  t.sc <- sc;
-  t.sf <- sf;
-  t.sn <- sn
+let grow t =
+  let cap = max 16 (2 * t.len) in
+  let kt = Array.make cap 0. and ks = Array.make cap 0 and kc = Array.make cap 0 in
+  Array.blit t.kt 0 kt 0 t.len;
+  Array.blit t.ks 0 ks 0 t.len;
+  Array.blit t.kc 0 kc 0 t.len;
+  t.kt <- kt;
+  t.ks <- ks;
+  t.kc <- kc
 
-let[@inline] alloc_slot t =
-  if t.free = -1 then grow_slots t;
-  let s = t.free in
-  t.free <- t.sn.(s);
-  s
+(* key at [i] orders strictly before key at [j] *)
+let[@inline] before t i j =
+  t.kt.(i) < t.kt.(j) || (t.kt.(i) = t.kt.(j) && t.ks.(i) < t.ks.(j))
 
-let[@inline] enqueue t s =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  t.npending <- t.npending + 1;
-  match t.queue with
-  | Qh q -> Binq.add q t.st ~seq ~slot:s
-  | Qc q -> Calq.add q t.st ~seq ~slot:s
-  | Ql q -> Ladq.add q t.st ~seq ~slot:s
+let[@inline] swap t i j =
+  let ft = t.kt.(i) in
+  t.kt.(i) <- t.kt.(j);
+  t.kt.(j) <- ft;
+  let s = t.ks.(i) in
+  t.ks.(i) <- t.ks.(j);
+  t.ks.(j) <- s;
+  let c = t.kc.(i) in
+  t.kc.(i) <- t.kc.(j);
+  t.kc.(j) <- c
 
-let schedule_at t ~time f =
-  if time < t.clock.now_ then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g is in the past (now %g)" time
-         t.clock.now_);
-  let s = alloc_slot t in
-  t.st.(s) <- time;
-  t.sc.(s) <- -1;
-  t.sf.(s) <- f;
-  enqueue t s
+(* Claim the heap cell one past the end for [code] and stamp its seq;
+   the caller stores the event time into [kt] at the returned index and
+   then calls [sift_up]. *)
+let[@inline] claim t code =
+  if t.len = Array.length t.kc then grow t;
+  let i = t.len in
+  t.ks.(i) <- t.next_seq;
+  t.kc.(i) <- code;
+  t.next_seq <- t.next_seq + 1;
+  t.len <- i + 1;
+  i
 
-let schedule t ~delay f =
-  if delay < 0. then
-    invalid_arg (Printf.sprintf "Engine.schedule: negative delay %g" delay);
-  let s = alloc_slot t in
-  t.st.(s) <- t.clock.now_ +. delay;
-  t.sc.(s) <- -1;
-  t.sf.(s) <- f;
-  enqueue t s
+let sift_up t i =
+  let i = ref i in
+  while !i > 0 && before t !i ((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    swap t !i parent;
+    i := parent
+  done
 
 let schedule_packed_at t ~time code =
   if code < 0 then invalid_arg "Engine.schedule_packed_at: negative event code";
@@ -167,44 +104,54 @@ let schedule_packed_at t ~time code =
     invalid_arg
       (Printf.sprintf "Engine.schedule_packed_at: time %g is in the past (now %g)" time
          t.clock.now_);
-  let s = alloc_slot t in
-  t.st.(s) <- time;
-  t.sc.(s) <- code;
-  enqueue t s
+  let i = claim t code in
+  t.kt.(i) <- time;
+  sift_up t i
 
 let schedule_packed t ~delay code =
   if code < 0 then invalid_arg "Engine.schedule_packed: negative event code";
   if delay < 0. then
     invalid_arg (Printf.sprintf "Engine.schedule_packed: negative delay %g" delay);
-  let s = alloc_slot t in
-  t.st.(s) <- t.clock.now_ +. delay;
-  t.sc.(s) <- code;
-  enqueue t s
+  let i = claim t code in
+  t.kt.(i) <- t.clock.now_ +. delay;
+  sift_up t i
 
-let[@inline] pop_due t max_time =
-  match t.queue with
-  | Qh q -> Binq.pop_min q ~max_time
-  | Qc q -> Calq.pop_min q ~max_time
-  | Ql q -> Ladq.pop_min q ~max_time
-
-(* Fire slot [s]: advance the clock, release the slot (the callback cell
-   is nulled so the pool never pins a fired closure), then dispatch. *)
-let fire t s =
-  let time = t.st.(s) in
-  if time > t.clock.now_ then t.clock.now_ <- time;
-  let code = t.sc.(s) in
-  let f = t.sf.(s) in
-  t.sf.(s) <- null_fn;
-  t.sn.(s) <- t.free;
-  t.free <- s;
-  t.npending <- t.npending - 1;
-  if code >= 0 then t.packed t code else f t
+(* Remove the least event if its time is [<= max_time], advance the
+   clock to it and return its code; [-1] (nothing removed) otherwise. *)
+let pop_due t max_time =
+  if t.len = 0 || t.kt.(0) > max_time then -1
+  else begin
+    let time = t.kt.(0) in
+    if time > t.clock.now_ then t.clock.now_ <- time;
+    let code = t.kc.(0) in
+    let n = t.len - 1 in
+    t.len <- n;
+    if n > 0 then begin
+      t.kt.(0) <- t.kt.(n);
+      t.ks.(0) <- t.ks.(n);
+      t.kc.(0) <- t.kc.(n);
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let smallest = ref !i in
+        if l < n && before t l !smallest then smallest := l;
+        if r < n && before t r !smallest then smallest := r;
+        if !smallest = !i then continue := false
+        else begin
+          swap t !i !smallest;
+          i := !smallest
+        end
+      done
+    end;
+    code
+  end
 
 let step t =
-  let s = pop_due t infinity in
-  if s < 0 then false
+  let code = pop_due t infinity in
+  if code < 0 then false
   else begin
-    fire t s;
+    t.handler t code;
     true
   end
 
@@ -217,72 +164,30 @@ let run_until t ~time =
   let fired = ref 0 in
   let continue = ref true in
   while !continue do
-    let s = pop_due t time in
-    if s < 0 then continue := false
+    let code = pop_due t time in
+    if code < 0 then continue := false
     else begin
-      fire t s;
+      t.handler t code;
       incr fired
     end
   done;
   t.clock.now_ <- time;
-  Stratify_obs.Profile.stop t.run_kernel ~ops:!fired snap
+  Stratify_obs.Profile.stop "des.run_until" ~ops:!fired snap
 
-(* Snapshot support (lib/serve): the pending queue as pure data.
-
-   Popping every slot yields the canonical total (time, seq) order — the
-   one order every backend agrees on — so re-adding the entries in that
-   order (with fresh, increasing seqs) reconstructs an equivalent queue:
-   relative order among the dumped events is preserved, and events
-   scheduled later always get larger seqs in both the original and the
-   restored engine.  The dump is therefore non-destructive, and its
-   output is backend-independent. *)
+(* Snapshot support (lib/serve): the heap's cells sorted by their
+   (time, seq) key are exactly the future pop order.  Re-scheduling them
+   in that order on a fresh engine (restore_packed) assigns increasing
+   seqs, so relative order is kept and events scheduled after the
+   restore sort behind equal-time restored ones, as in the original. *)
 let dump_packed t =
-  let n = t.npending in
-  let times = Array.make n 0.
-  and codes = Array.make n (-1)
-  and fns = Array.make n null_fn in
-  for i = 0 to n - 1 do
-    let s = pop_due t infinity in
-    times.(i) <- t.st.(s);
-    codes.(i) <- t.sc.(s);
-    fns.(i) <- t.sf.(s);
-    t.sf.(s) <- null_fn;
-    t.sn.(s) <- t.free;
-    t.free <- s;
-    t.npending <- t.npending - 1
-  done;
-  (* Rebuild the queue before deciding whether to raise, so a failed dump
-     leaves the engine exactly as it found it.  The drained backend queue
-     is replaced with a fresh one first: draining moved its pop cursor
-     (calendar [g.last], ladder rung state) past the maximum pending
-     time, and re-inserting earlier events behind a committed cursor
-     breaks the backends' "inserts never predate the last removal"
-     invariant — events would sit unreachable until the clock caught up
-     with the cursor, silently reordering pops. *)
-  (match t.queue with
-  | Qh _ -> t.queue <- Qh (Binq.create ())
-  | Qc _ -> t.queue <- Qc (Calq.create ())
-  | Ql _ -> t.queue <- Ql (Ladq.create ()));
-  let closures = ref 0 in
-  for i = 0 to n - 1 do
-    if codes.(i) >= 0 then schedule_packed_at t ~time:times.(i) codes.(i)
-    else begin
-      incr closures;
-      schedule_at t ~time:times.(i) fns.(i)
-    end
-  done;
-  if !closures > 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Engine.dump_packed: queue holds %d closure event(s) — only packed (defunctionalized) \
-          events are serializable"
-         !closures);
-  Array.init n (fun i -> (times.(i), codes.(i)))
+  let order = Array.init t.len Fun.id in
+  Array.sort (fun i j -> if before t i j then -1 else if before t j i then 1 else 0) order;
+  Array.map (fun i -> (t.kt.(i), t.kc.(i))) order
 
-let restore_packed ?backend ~now entries =
+let restore_packed ~now entries =
   if now < 0. then
     invalid_arg (Printf.sprintf "Engine.restore_packed: negative clock %g" now);
-  let t = create ?backend () in
+  let t = create () in
   t.clock.now_ <- now;
   Array.iter (fun (time, code) -> schedule_packed_at t ~time code) entries;
   t
@@ -293,7 +198,7 @@ let drain ?(max_events = 10_000_000) t =
   while !budget > 0 && step t do
     decr budget
   done;
-  let drained = t.npending = 0 in
+  let drained = t.len = 0 in
   if not drained then Stratify_obs.Counter.incr drain_budget_exhausted;
-  Stratify_obs.Profile.stop t.drain_kernel ~ops:(max_events - !budget) snap;
+  Stratify_obs.Profile.stop "des.drain" ~ops:(max_events - !budget) snap;
   drained

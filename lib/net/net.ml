@@ -34,6 +34,33 @@ let stationary_loss = function
 
 type partition_event = { at : float; groups : int array option }
 
+module Packed = struct
+  let kind_bits = 6
+  let id_bits = 28
+  let max_kind = (1 lsl kind_bits) - 1
+  let max_id = (1 lsl id_bits) - 1
+
+  (* kind in the low bits so handler dispatch is one [land] *)
+  let[@inline] pack ~kind ~src ~dst =
+    (((dst lsl id_bits) lor src) lsl kind_bits) lor kind
+
+  let pack_checked ~kind ~src ~dst =
+    if kind < 0 || kind > max_kind then
+      invalid_arg (Printf.sprintf "Net.Packed.pack: kind %d outside [0, %d]" kind max_kind);
+    if src < 0 || src > max_id then
+      invalid_arg (Printf.sprintf "Net.Packed.pack: src %d outside [0, %d]" src max_id);
+    if dst < 0 || dst > max_id then
+      invalid_arg (Printf.sprintf "Net.Packed.pack: dst %d outside [0, %d]" dst max_id);
+    pack ~kind ~src ~dst
+
+  let[@inline] kind code = code land max_kind
+  let[@inline] src code = (code lsr kind_bits) land max_id
+  let[@inline] dst code = code lsr (kind_bits + id_bits)
+
+  (* reserved on a network's engine: switches the partition groups *)
+  let partition_kind = max_kind
+end
+
 (* Counters are global (per-process) like every other stratify.obs probe;
    scenario runs reset them per plan. *)
 let c_sent = Counter.make "net.sent"
@@ -47,14 +74,19 @@ type t = {
   engine : Engine.t;
   rng : Rng.t;
   faults : faults;
-  (* Fault-free configurations take a precomputed branch in [send] that
-     skips the whole pipeline (no RNG draws either way, so the two paths
-     are trace-identical) — the refactor of Async_dynamics onto Net.send
-     must stay within the bench.net dispatch-overhead budget. *)
-  fast : bool;
+  (* Fault-free configurations without a partition schedule take a
+     branch in [send] that skips the whole pipeline (no RNG draws either
+     way, so the two paths are trace-identical) — routing Async_dynamics
+     through Net.send must stay within the bench.net dispatch-overhead
+     budget.  Cleared for good by [set_partition_schedule]. *)
+  mutable fast : bool;
   fast_latency : float;
   burst_bad : (int * int, bool ref) Hashtbl.t;  (* Gilbert–Elliott link states *)
-  (* Packed-path fault state: one RNG advance per [burst_begin] seeds a
+  (* Group assignments of the scheduled partition events; the engine
+     event of the i-th one carries [i] in its src field. *)
+  mutable partitions : int array option array;
+  mutable handler : Engine.t -> int -> unit;
+  (* [send_packed] fault state: one RNG advance per [burst_begin] seeds a
      native-int counter-mode base; each [send_packed] then hashes
      (base, message index, lane) for its draws instead of advancing the
      RNG.  [packed_loss] is the loss model collapsed to its stationary
@@ -66,6 +98,7 @@ type t = {
   mutable burst_idx : int;
   mutable groups : int array option;
   mutable sent : int;
+  mutable fast_sent : int;  (* [send]'s fast path: sent and delivered *)
   mutable delivered : int;
   mutable lost : int;
   mutable partitioned : int;
@@ -98,6 +131,11 @@ let validate f =
   if f.reorder_spread < 0. then
     invalid_arg (Printf.sprintf "Net.create: negative reorder_spread %g" f.reorder_spread)
 
+let no_handler (_ : Engine.t) code =
+  invalid_arg
+    (Printf.sprintf "Net: message kind %d delivered but no handler is installed"
+       (Packed.kind code))
+
 let create ?engine rng faults =
   validate faults;
   let engine = match engine with Some e -> e | None -> Engine.create () in
@@ -117,8 +155,11 @@ let create ?engine rng faults =
     packed_loss = stationary_loss faults.loss;
     burst_base = 0;
     burst_idx = 0;
+    partitions = [||];
+    handler = no_handler;
     groups = None;
     sent = 0;
+    fast_sent = 0;
     delivered = 0;
     lost = 0;
     partitioned = 0;
@@ -128,6 +169,22 @@ let create ?engine rng faults =
 
 let engine t = t.engine
 let faults t = t.faults
+
+(* The engine's handler is the caller's own until a partition event is
+   scheduled — so the common case pays no extra dispatch — and from then
+   on a wrapper that takes the reserved kind for itself. *)
+let install t =
+  if Array.length t.partitions = 0 then Engine.set_packed_handler t.engine t.handler
+  else
+    let handler = t.handler in
+    Engine.set_packed_handler t.engine (fun e code ->
+        if Packed.kind code = Packed.partition_kind then
+          t.groups <- t.partitions.(Packed.src code)
+        else handler e code)
+
+let set_handler t f =
+  t.handler <- f;
+  install t
 
 let set_partition_schedule t events =
   (* Validate the whole schedule before touching the engine, with an
@@ -143,8 +200,15 @@ let set_partition_schedule t events =
              "Net.set_partition_schedule: partition event at %g is in the past (engine now %g)"
              ev.at now))
     events;
-  List.iter
-    (fun ev -> Engine.schedule_at t.engine ~time:ev.at (fun _ -> t.groups <- ev.groups))
+  let base = Array.length t.partitions in
+  let groups = List.map (fun (ev : partition_event) -> ev.groups) events in
+  t.partitions <- Array.append t.partitions (Array.of_list groups);
+  if events <> [] then t.fast <- false;
+  install t;
+  List.iteri
+    (fun i ev ->
+      Engine.schedule_packed_at t.engine ~time:ev.at
+        (Packed.pack_checked ~kind:Packed.partition_kind ~src:(base + i) ~dst:0))
     events
 
 let reachable t ~src ~dst =
@@ -175,10 +239,8 @@ let draw_latency t =
 
 (* One delivery attempt: latency draw, optional reordering delay, schedule.
    A scheduled message always runs, so [delivered] is counted here rather
-   than in a wrapper closure at fire time — the hot fault-free path then
-   hands [handler] to the engine untouched, keeping Net.send within its
-   dispatch-overhead budget (see bench.net). *)
-let deliver t handler =
+   than at fire time. *)
+let deliver t code =
   let delay = draw_latency t in
   let delay =
     if t.faults.reorder > 0. && Rng.bernoulli t.rng t.faults.reorder then begin
@@ -190,9 +252,15 @@ let deliver t handler =
   in
   t.delivered <- t.delivered + 1;
   Counter.incr c_delivered;
-  Engine.schedule t.engine ~delay handler
+  Engine.schedule_packed t.engine ~delay code
 
-let[@inline never] send_slow t ~src ~dst handler =
+let[@inline never] send_slow t ~src ~dst code =
+  if Array.length t.partitions > 0 && Packed.kind code = Packed.partition_kind then
+    invalid_arg
+      (Printf.sprintf "Net.send: message kind %d is reserved for partition events"
+         Packed.partition_kind);
+  t.sent <- t.sent + 1;
+  Counter.incr c_sent;
   if not (reachable t ~src ~dst) then begin
     t.partitioned <- t.partitioned + 1;
     Counter.incr c_partitioned
@@ -202,26 +270,30 @@ let[@inline never] send_slow t ~src ~dst handler =
     Counter.incr c_lost
   end
   else begin
-    deliver t handler;
+    deliver t code;
     if t.faults.duplicate > 0. && Rng.bernoulli t.rng t.faults.duplicate then begin
       t.duplicated <- t.duplicated + 1;
       Counter.incr c_duplicated;
-      deliver t handler
+      deliver t code
     end
   end
 
-let[@inline always] send t ~src ~dst handler =
-  t.sent <- t.sent + 1;
-  Counter.incr c_sent;
-  if t.fast && t.groups == None then begin
-    t.delivered <- t.delivered + 1;
-    Counter.incr c_delivered;
-    Engine.schedule t.engine ~delay:t.fast_latency handler
+(* The fast path tallies one field and tests the observability switch
+   once: it runs per message, and bench.net holds it within 1.15x of
+   scheduling the event directly. *)
+let[@inline always] send t ~src ~dst code =
+  if t.fast then begin
+    t.fast_sent <- t.fast_sent + 1;
+    if Stratify_obs.Control.enabled () then begin
+      Counter.incr c_sent;
+      Counter.incr c_delivered
+    end;
+    Engine.schedule_packed t.engine ~delay:t.fast_latency code
   end
-  else send_slow t ~src ~dst handler
+  else send_slow t ~src ~dst code
 
-let sent t = t.sent
-let delivered t = t.delivered
+let sent t = t.sent + t.fast_sent
+let delivered t = t.delivered + t.fast_sent
 let lost t = t.lost
 let partitioned t = t.partitioned
 let dropped t = t.lost + t.partitioned
@@ -230,31 +302,7 @@ let reordered t = t.reordered
 
 (* ------------------------------------------------------------------ *)
 
-module Packed = struct
-  let kind_bits = 6
-  let id_bits = 28
-  let max_kind = (1 lsl kind_bits) - 1
-  let max_id = (1 lsl id_bits) - 1
-
-  (* kind in the low bits so handler dispatch is one [land] *)
-  let[@inline] pack ~kind ~src ~dst =
-    (((dst lsl id_bits) lor src) lsl kind_bits) lor kind
-
-  let pack_checked ~kind ~src ~dst =
-    if kind < 0 || kind > max_kind then
-      invalid_arg (Printf.sprintf "Net.Packed.pack: kind %d outside [0, %d]" kind max_kind);
-    if src < 0 || src > max_id then
-      invalid_arg (Printf.sprintf "Net.Packed.pack: src %d outside [0, %d]" src max_id);
-    if dst < 0 || dst > max_id then
-      invalid_arg (Printf.sprintf "Net.Packed.pack: dst %d outside [0, %d]" dst max_id);
-    pack ~kind ~src ~dst
-
-  let[@inline] kind code = code land max_kind
-  let[@inline] src code = (code lsr kind_bits) land max_id
-  let[@inline] dst code = code lsr (kind_bits + id_bits)
-end
-
-(* Counter-mode uniforms for the packed path: a native-int splitmix-style
+(* Counter-mode uniforms for [send_packed]: a native-int splitmix-style
    finalizer (no Int64 — Int64 values box, and this runs per message).
    The multipliers are odd 62-bit constants; overflow wraps, which is
    fine for a hash. *)
@@ -275,8 +323,8 @@ let burst_begin t =
   t.burst_idx <- 0;
   t.burst_base <- Int64.to_int (Splitmix64.mix (Rng.int64 t.rng)) land max_int
 
-(* One packed delivery attempt: latency and reorder draws from lanes
-   [off .. off+3], then a defunctionalized schedule. *)
+(* One [send_packed] delivery attempt: latency and reorder draws from
+   lanes [off .. off+3], then the schedule. *)
 let deliver_packed t code off =
   let delay =
     match t.faults.latency with
@@ -324,7 +372,7 @@ let[@inline always] send_packed t ~src ~dst ~kind =
   t.sent <- t.sent + 1;
   Counter.incr c_sent;
   let code = Packed.pack ~kind ~src ~dst in
-  if t.fast && t.groups == None then begin
+  if t.fast then begin
     t.delivered <- t.delivered + 1;
     Counter.incr c_delivered;
     Engine.schedule_packed t.engine ~delay:t.fast_latency code

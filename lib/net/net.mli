@@ -2,9 +2,11 @@
     engine.
 
     The asynchronous dynamics and the scenario harness route every
-    peer-to-peer message through a {!t} instead of calling
-    {!Stratify_des.Engine.schedule} directly.  A network applies, in a
-    {e fixed, documented order}, the faults of its {!faults} record:
+    peer-to-peer message through a {!t} instead of scheduling it on the
+    engine directly.  A message is a packed event code (see {!Packed})
+    that the network delivers to the handler installed with
+    {!set_handler}.  A network applies, in a {e fixed, documented
+    order}, the faults of its {!faults} record:
 
     + {b partition} — if a partition schedule currently separates [src]
       from [dst], the message is dropped (no RNG draw);
@@ -26,11 +28,11 @@
     network its own {!Stratify_prng.Rng.split} substream and results do
     not depend on [--jobs] or scheduling.
 
-    The fault-free configuration ({!ideal}) is draw-for-draw identical
-    to the pre-[stratify.net] direct-[Engine.schedule] path: [No_loss]
-    and [Iid 0.] draw nothing, [Constant] latency draws nothing, and
-    zero [duplicate]/[reorder] probabilities draw nothing, so existing
-    goldens are preserved bit-for-bit. *)
+    The fault-free configuration ({!ideal}) draws nothing from the RNG:
+    [No_loss] and [Iid 0.] draw nothing, [Constant] latency draws
+    nothing, and zero [duplicate]/[reorder] probabilities draw nothing,
+    so it is draw-for-draw identical to scheduling each message on the
+    engine directly. *)
 
 type latency =
   | Constant of float  (** every message takes exactly this long *)
@@ -75,50 +77,10 @@ type partition_event = { at : float; groups : int array option }
 
 type t
 
-val create : ?engine:Stratify_des.Engine.t -> Stratify_prng.Rng.t -> faults -> t
-(** Build a network over a fresh engine (or [engine]).  Raises
-    [Invalid_argument] on out-of-range fault parameters (negative
-    latencies or spreads, probabilities outside [0, 1)). *)
-
-val engine : t -> Stratify_des.Engine.t
-val faults : t -> faults
-
-val set_partition_schedule : t -> partition_event list -> unit
-(** Schedule split/heal events on the network's engine (events fire as
-    simulated time passes them).  An event dated before the engine's
-    current clock raises [Invalid_argument] naming the offending
-    partition time — the whole schedule is validated before anything is
-    enqueued. *)
-
-val reachable : t -> src:int -> dst:int -> bool
-(** Whether a message sent now would cross the current partition. *)
-
-val send : t -> src:int -> dst:int -> (Stratify_des.Engine.t -> unit) -> unit
-(** Route one message: apply the fault pipeline above, then (unless
-    dropped) schedule the handler at delivery time. *)
-
-(** {2 Defunctionalized sends}
-
-    The high-throughput path for message-level workloads (tens of
-    millions of events): instead of a closure, a message is an int code
-    bit-packing [(kind, src, dst)], delivered through the engine's
-    packed-event handler ({!Stratify_des.Engine.set_packed_handler}).
-    Fault draws are {e burst-batched}: {!burst_begin} advances the
-    network's RNG once and derives a counter-mode base; every
-    {!send_packed} until the next [burst_begin] hashes
-    [(base, message index, draw lane)] for its loss / latency / reorder
-    / duplicate draws.  One RNG advance per burst, zero allocation per
-    message, and verdicts independent of send order within a burst —
-    the same discipline as {!Tick}.
-
-    Two deliberate semantic differences from {!send} (the packed path
-    is a separate traffic class, not a re-encoding of the closure
-    path): draws come from the counter-mode hash, so packed and closure
-    sends over the same network do not consume each other's RNG stream;
-    and a [Burst] (Gilbert–Elliott) loss model collapses to its
-    {!stationary_loss} rate — per-link chain state would reintroduce
-    per-message lookups and allocation. *)
-
+(** Event codes: one immediate int bit-packing [(kind, src, dst)].
+    Once a network has a partition schedule, kind
+    {!Packed.partition_kind} is reserved on its engine: the network uses
+    it for the split/heal events of {!set_partition_schedule}. *)
 module Packed : sig
   val kind_bits : int
   (** 6: kinds 0..63. *)
@@ -140,7 +102,64 @@ module Packed : sig
   val src : int -> int
 
   val dst : int -> int
+
+  val partition_kind : int
+  (** 63, the largest kind: the network's partition events.  Every
+      other code scheduled on a network's engine — sent messages and
+      the caller's own timers alike — goes to the {!set_handler}
+      handler. *)
 end
+
+val create : ?engine:Stratify_des.Engine.t -> Stratify_prng.Rng.t -> faults -> t
+(** Build a network over a fresh engine (or [engine]).  Raises
+    [Invalid_argument] on out-of-range fault parameters (negative
+    latencies or spreads, probabilities outside [0, 1)). *)
+
+val engine : t -> Stratify_des.Engine.t
+val faults : t -> faults
+
+val set_handler : t -> (Stratify_des.Engine.t -> int -> unit) -> unit
+(** Install the handler for every event the engine fires except the
+    network's own partition events (it becomes the engine's packed
+    handler, wrapped once a partition schedule exists).  Until one is
+    installed, a delivery raises [Invalid_argument]. *)
+
+val set_partition_schedule : t -> partition_event list -> unit
+(** Schedule split/heal events on the network's engine (events fire as
+    simulated time passes them).  Each is one engine event of kind
+    {!Packed.partition_kind}; none counts as sent or delivered.  An
+    event dated before the engine's current clock raises
+    [Invalid_argument] naming the offending partition time — the whole
+    schedule is validated before anything is enqueued. *)
+
+val reachable : t -> src:int -> dst:int -> bool
+(** Whether a message sent now would cross the current partition. *)
+
+val send : t -> src:int -> dst:int -> int -> unit
+(** [send t ~src ~dst code] routes one message: apply the fault pipeline
+    above, drawing from the network's RNG in send order, then (unless
+    dropped) schedule [code] at delivery time.  Raises
+    [Invalid_argument] on a network with a partition schedule if
+    [code]'s kind is {!Packed.partition_kind}. *)
+
+(** {2 Burst-batched sends}
+
+    The high-throughput path for message-level workloads (tens of
+    millions of events).  Fault draws are {e burst-batched}:
+    {!burst_begin} advances the network's RNG once and derives a
+    counter-mode base; every {!send_packed} until the next
+    [burst_begin] hashes [(base, message index, draw lane)] for its
+    loss / latency / reorder / duplicate draws.  One RNG advance per
+    burst, and verdicts independent of send order within a burst — the
+    same discipline as {!Tick}.
+
+    Two deliberate semantic differences from {!send} (a separate
+    traffic class, not a re-encoding of it): draws come from the
+    counter-mode hash, so the two kinds of send over the same network
+    do not consume each other's RNG stream; and a [Burst]
+    (Gilbert–Elliott) loss model collapses to its {!stationary_loss}
+    rate — per-link chain state would reintroduce per-message lookups
+    and allocation. *)
 
 val burst_begin : t -> unit
 (** Start a fault-draw burst: advance the RNG once and reset the
@@ -148,10 +167,10 @@ val burst_begin : t -> unit
     burst) before a batch of {!send_packed} calls. *)
 
 val send_packed : t -> src:int -> dst:int -> kind:int -> unit
-(** Route one defunctionalized message: same fault pipeline and
-    counters as {!send} (with the packed-path differences above), then
-    schedule [Packed.pack ~kind ~src ~dst] at delivery time.
-    Allocation-free in steady state. *)
+(** Route one message: same fault pipeline and counters as {!send}
+    (with the differences above), then schedule
+    [Packed.pack ~kind ~src ~dst] at delivery time.  Allocation-free in
+    steady state. *)
 
 (** {2 Telemetry} — plain fields, plus the ["net.*"] observability
     counters ([net.sent], [net.delivered], [net.lost],

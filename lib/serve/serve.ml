@@ -327,8 +327,8 @@ let handle t kind =
 
 (* ------------------------------------------------------------------ *)
 (* The event loop: one self-rescheduling packed tick plus one packed   *)
-(* event per scripted request (src = request index).  Packed-only      *)
-(* means the queue serializes ([Engine.dump_packed]).                  *)
+(* event per scripted request (src = request index); the queue         *)
+(* serializes as plain data ([Engine.dump_packed]).                    *)
 
 let kind_tick = 0
 let kind_request = 1
@@ -474,7 +474,7 @@ let run_script t = run_to t t.scr.Request.horizon
 (* ------------------------------------------------------------------ *)
 (* Manifest: built by hand from world-internal tallies, never from the *)
 (* process-global counters — so stop/resume across *processes* keeps   *)
-(* every total, and the bytes are backend- and wall-clock-invariant.   *)
+(* every total, and the bytes are wall-clock-invariant.                *)
 
 let manifest ?git t =
   let swarm_counters =
@@ -674,9 +674,6 @@ let snapshot t =
       ("kind", Jsonx.String "serve-snapshot");
       ("script", Request.to_json t.scr);
       ("now", Jsonx.Float (Engine.now t.engine));
-      (* deliberately no backend field: a snapshot is backend-neutral —
-         the queue entries are the canonical (time, seq) order that
-         every backend pops identically *)
       ("ticks", Jsonx.Int t.ticks);
       ( "tallies",
         Jsonx.Obj
@@ -899,8 +896,6 @@ let restore j =
       (List.length swarm_js)
       (List.length w.Request.swarms);
   let swarms = List.map2 (restore_swarm what) w.Request.swarms swarm_js in
-  (* restore_packed on the *current* default backend: any --queue choice
-     replays the snapshot's canonical (time, seq) order identically *)
   let engine = Engine.restore_packed ~now queue in
   let t =
     {

@@ -3,58 +3,9 @@
 
 module Rng = Stratify_prng.Rng
 module Gen = Stratify_graph.Gen
-module Pqueue = Stratify_des.Pqueue
 module Engine = Stratify_des.Engine
 module Series = Stratify_stats.Series
 open Stratify_core
-
-(* ------------------------------------------------------------------ *)
-(* Pqueue                                                              *)
-
-let test_pqueue_ordering () =
-  let q = Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  List.iter (fun (pr, v) -> Pqueue.push q ~priority:pr v) [ (3., "c"); (1., "a"); (2., "b") ];
-  Alcotest.(check int) "size" 3 (Pqueue.size q);
-  Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1., "a")) (Pqueue.peek q);
-  Alcotest.(check (option (pair (float 0.) string))) "pop a" (Some (1., "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.) string))) "pop b" (Some (2., "b")) (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.) string))) "pop c" (Some (3., "c")) (Pqueue.pop q);
-  Alcotest.(check bool) "drained" true (Pqueue.pop q = None)
-
-let test_pqueue_stable_ties () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.push q ~priority:7. v) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> -1) in
-  Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4 ] order
-
-let test_pqueue_random_heap_property () =
-  let rng = Helpers.rng () in
-  let q = Pqueue.create () in
-  let reference = ref [] in
-  for _ = 1 to 2000 do
-    let pr = Rng.unit_float rng in
-    Pqueue.push q ~priority:pr ();
-    reference := pr :: !reference
-  done;
-  let sorted = List.sort compare !reference in
-  List.iter
-    (fun expected ->
-      match Pqueue.pop q with
-      | Some (pr, ()) -> Helpers.check_close "heap order" expected pr
-      | None -> Alcotest.fail "queue exhausted early")
-    sorted;
-  Alcotest.(check bool) "empty at end" true (Pqueue.is_empty q)
-
-let test_pqueue_interleaved () =
-  let q = Pqueue.create () in
-  Pqueue.push q ~priority:5. 5;
-  Pqueue.push q ~priority:1. 1;
-  Alcotest.(check (option (pair (float 0.) int))) "pop 1" (Some (1., 1)) (Pqueue.pop q);
-  Pqueue.push q ~priority:0.5 0;
-  Alcotest.(check (option (pair (float 0.) int))) "pop 0" (Some (0.5, 0)) (Pqueue.pop q);
-  Pqueue.clear q;
-  Alcotest.(check bool) "cleared" true (Pqueue.is_empty q)
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -62,44 +13,45 @@ let test_pqueue_interleaved () =
 let test_engine_clock_and_order () =
   let e = Engine.create () in
   let log = ref [] in
-  Engine.schedule e ~delay:2. (fun e -> log := ("b", Engine.now e) :: !log);
-  Engine.schedule e ~delay:1. (fun e -> log := ("a", Engine.now e) :: !log);
-  Engine.schedule e ~delay:3. (fun e -> log := ("c", Engine.now e) :: !log);
+  Engine.set_packed_handler e (fun e code -> log := (code, Engine.now e) :: !log);
+  Engine.schedule_packed e ~delay:2. 1;
+  Engine.schedule_packed e ~delay:1. 0;
+  Engine.schedule_packed e ~delay:3. 2;
   Engine.run_until e ~time:2.5;
-  Alcotest.(check (list (pair string (float 1e-9)))) "two fired" [ ("a", 1.); ("b", 2.) ]
+  Alcotest.(check (list (pair int (float 1e-9)))) "two fired" [ (0, 1.); (1, 2.) ]
     (List.rev !log);
   Helpers.check_close "clock advanced" 2.5 (Engine.now e);
   Alcotest.(check int) "one pending" 1 (Engine.pending e);
   Alcotest.(check bool) "drain rest" true (Engine.drain e);
-  Alcotest.(check (list string)) "all fired" [ "a"; "b"; "c" ] (List.rev_map fst !log)
+  Alcotest.(check (list int)) "all fired" [ 0; 1; 2 ] (List.rev_map fst !log)
 
 let test_engine_cascading_events () =
   let e = Engine.create () in
   let count = ref 0 in
-  let rec tick depth engine =
-    incr count;
-    if depth > 0 then Engine.schedule engine ~delay:1. (tick (depth - 1))
-  in
-  Engine.schedule e ~delay:0. (tick 9);
+  (* the code is the remaining depth: each event schedules the next *)
+  Engine.set_packed_handler e (fun engine depth ->
+      incr count;
+      if depth > 0 then Engine.schedule_packed engine ~delay:1. (depth - 1));
+  Engine.schedule_packed e ~delay:0. 9;
   Alcotest.(check bool) "drained" true (Engine.drain e);
   Alcotest.(check int) "chain length" 10 !count;
   Helpers.check_close "time advanced" 9. (Engine.now e)
 
 let test_engine_runaway_guard () =
   let e = Engine.create () in
-  let rec forever engine = Engine.schedule engine ~delay:1. forever in
-  Engine.schedule e ~delay:0. forever;
+  Engine.set_packed_handler e (fun engine code -> Engine.schedule_packed engine ~delay:1. code);
+  Engine.schedule_packed e ~delay:0. 0;
   Alcotest.(check bool) "budget stops it" false (Engine.drain ~max_events:1000 e)
 
 let test_engine_guards () =
   let e = Engine.create () in
   Alcotest.check_raises "negative delay"
-    (Invalid_argument "Engine.schedule: negative delay -1")
-    (fun () -> Engine.schedule e ~delay:(-1.) (fun _ -> ()));
+    (Invalid_argument "Engine.schedule_packed: negative delay -1")
+    (fun () -> Engine.schedule_packed e ~delay:(-1.) 0);
   Engine.run_until e ~time:5.;
   Alcotest.check_raises "past"
-    (Invalid_argument "Engine.schedule_at: time 1 is in the past (now 5)")
-    (fun () -> Engine.schedule_at e ~time:1. (fun _ -> ()))
+    (Invalid_argument "Engine.schedule_packed_at: time 1 is in the past (now 5)")
+    (fun () -> Engine.schedule_packed_at e ~time:1. 0)
 
 (* ------------------------------------------------------------------ *)
 (* Async dynamics                                                      *)
@@ -209,10 +161,6 @@ let test_async_guards () =
 
 let suite =
   [
-    Alcotest.test_case "pqueue ordering" `Quick test_pqueue_ordering;
-    Alcotest.test_case "pqueue stable ties" `Quick test_pqueue_stable_ties;
-    Alcotest.test_case "pqueue heap property (random)" `Quick test_pqueue_random_heap_property;
-    Alcotest.test_case "pqueue interleaved" `Quick test_pqueue_interleaved;
     Alcotest.test_case "engine clock and order" `Quick test_engine_clock_and_order;
     Alcotest.test_case "engine cascading events" `Quick test_engine_cascading_events;
     Alcotest.test_case "engine runaway guard" `Quick test_engine_runaway_guard;

@@ -1,210 +1,111 @@
-(* Tests for the pluggable event-queue backends and the defunctionalized
-   event path: every backend must pop the identical total (time, seq)
-   order — the invariance `--queue` relies on — plus the structural
-   behaviours (calendar resizes, ladder rung spawning) and the packed
-   codec. *)
+(* Tests for the event engine: the pop order is exactly the sorted
+   (time, seq) order of everything scheduled, a dump/restore split at any
+   pop continues that order, and the packed codec round-trips. *)
 
 module Engine = Stratify_des.Engine
-module Calq = Stratify_des.Calq
-module Ladq = Stratify_des.Ladq
-module Binq = Stratify_des.Binq
-module Pqueue = Stratify_des.Pqueue
 module Packed = Stratify_net.Net.Packed
 
 (* ------------------------------------------------------------------ *)
-(* Cross-backend equivalence                                           *)
+(* Pop order against a sorted-list reference                           *)
 
-(* Replay one schedule script on an engine and log every firing as
-   (clock, code).  Scripts mix sparse, clustered and exactly-equal
-   times — the equal-time cluster is the historical failure mode for
-   bucket-based queues. *)
-let replay backend script =
-  let eng = Engine.create ~backend () in
-  let log = ref [] in
-  Engine.set_packed_handler eng (fun eng code ->
-      log := (Engine.now eng, code) :: !log;
-      (* odd codes fire a child event: exercises inserts interleaved
-         with pops, including inserts into already-drained spans *)
-      if code land 1 = 1 then
-        Engine.schedule_packed eng ~delay:(float_of_int (code land 7) /. 4.) (code / 2));
-  List.iteri
-    (fun i time -> Engine.schedule_packed_at eng ~time ((i * 7) land 0xFFFF))
-    script;
-  ignore (Engine.drain eng);
-  List.rev !log
+(* A schedule: event times drawn from a continuous range, a coarse
+   lattice (many exact duplicates) and a single hot instant, plus a child
+   rule applied during the drain.  Every event's code carries the seq the
+   engine assigns it ([i]-th schedule call = seq [i]) in its high bits
+   and a child selector in its low 3 bits, so the firing log can be
+   checked against the reference order without peeking inside the
+   engine. *)
+let time_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun k -> float_of_int k /. 100.) (int_range 0 1000));
+        (2, map (fun k -> float_of_int k *. 0.5) (int_range 0 6));
+        (1, return 2.5);
+      ])
 
 let script_gen =
   QCheck.Gen.(
     let* n = int_range 1 120 in
-    (* draw times from a mix of a continuous range, a coarse lattice
-       (many exact duplicates) and a single hot instant *)
-    let time =
-      frequency
-        [
-          (3, map (fun k -> float_of_int k /. 100.) (int_range 0 1000));
-          (2, map (fun k -> float_of_int k *. 0.5) (int_range 0 6));
-          (1, return 2.5);
-        ]
-    in
-    list_size (return n) time)
+    list_size (return n) (pair time_gen (int_bound 7)))
 
-let test_backend_equivalence =
-  Helpers.qtest ~count:150 "des: backends pop the identical order"
-    (QCheck.make ~print:(fun s -> String.concat "," (List.map string_of_float s)) script_gen)
-    (fun script ->
-      let heap = replay Engine.Heap script in
-      let cal = replay Engine.Calendar script in
-      let lad = replay Engine.Ladder script in
-      heap = cal && heap = lad)
+let print_script s =
+  String.concat "," (List.map (fun (t, c) -> Printf.sprintf "%g/%d" t c) s)
 
-let test_backend_equivalence_closures () =
-  (* closure events and packed events share the queue and the order *)
-  let run backend =
-    let eng = Engine.create ~backend () in
-    let log = ref [] in
-    Engine.set_packed_handler eng (fun _ code -> log := (`P, code) :: !log);
-    for i = 0 to 49 do
-      let t = float_of_int (i mod 5) in
-      if i land 1 = 0 then Engine.schedule_at eng ~time:t (fun _ -> log := (`C, i) :: !log)
-      else Engine.schedule_packed_at eng ~time:t i
-    done;
-    ignore (Engine.drain eng);
-    List.rev !log
+(* Children inserted mid-drain: selector 1..3 schedules one child at a
+   lattice delay (0 included, so it lands on the current instant behind
+   every equal-time event), selector 4 one at the hot instant when that
+   is still ahead.  A child's own selector is 0: no grandchildren. *)
+let child_delay = [| 0.; 0.; 0.5; 1.25 |]
+
+(* Build an engine running the script; [fired] receives (time, seq, code)
+   in firing order.  [next_seq] is the test's mirror of the engine's
+   insertion counter. *)
+let handler ~next_seq ~fired eng code =
+  fired := (Engine.now eng, code lsr 3, code) :: !fired;
+  let sel = code land 7 in
+  let child time_of =
+    let seq = !next_seq in
+    incr next_seq;
+    time_of (seq lsl 3)
   in
-  let heap = run Engine.Heap in
+  if sel >= 1 && sel <= 3 then
+    child (fun c -> Engine.schedule_packed eng ~delay:child_delay.(sel) c)
+  else if sel = 4 && Engine.now eng <= 2.5 then
+    child (fun c -> Engine.schedule_packed_at eng ~time:2.5 c)
+
+let start script =
+  let eng = Engine.create () in
+  let next_seq = ref 0 and fired = ref [] in
+  Engine.set_packed_handler eng (handler ~next_seq ~fired);
   List.iter
-    (fun b ->
-      Alcotest.(check bool)
-        (Engine.backend_name b ^ " matches heap")
-        true
-        (run b = heap))
-    [ Engine.Calendar; Engine.Ladder ]
+    (fun (time, sel) ->
+      let seq = !next_seq in
+      incr next_seq;
+      Engine.schedule_packed_at eng ~time ((seq lsl 3) lor sel))
+    script;
+  (eng, next_seq, fired)
 
-(* ------------------------------------------------------------------ *)
-(* Raw backend structure                                               *)
+let test_sorted_order =
+  Helpers.qtest ~count:200 "des: pops in sorted (time, seq) order"
+    (QCheck.make ~print:print_script script_gen)
+    (fun script ->
+      let eng, next_seq, fired = start script in
+      ignore (Engine.drain eng);
+      let log = List.rev_map (fun (time, seq, _) -> (time, seq)) !fired in
+      List.length log = !next_seq && log = List.sort compare log)
 
-(* Drive a raw backend through its SoA (times, seq, slot) interface and
-   return the popped slots. *)
-let pop_all add pop_min q times order =
-  List.iteri (fun seq slot -> ignore (add q times ~seq ~slot)) order;
-  let out = ref [] in
-  let rec go () =
-    let s = pop_min q ~max_time:infinity in
-    if s >= 0 then begin
-      out := s :: !out;
-      go ()
-    end
-  in
-  go ();
-  List.rev !out
-
-let test_calendar_resize () =
-  let n = 3000 in
-  let times = Array.init n (fun i -> float_of_int i *. 0.01) in
-  let q = Calq.create () in
-  Alcotest.(check int) "initial buckets" 16 (Calq.buckets q);
-  let order = List.init n (fun i -> i) in
-  let popped = pop_all Calq.add Calq.pop_min q times order in
-  Alcotest.(check bool) "grew past the initial directory" true (Calq.resizes q > 0);
-  Alcotest.(check int) "drained" 0 (Calq.size q);
-  Alcotest.(check (list int)) "sorted order" order popped;
-  (* the drain-down shrinks the directory back *)
-  Alcotest.(check bool)
-    (Printf.sprintf "shrunk at empty (buckets=%d)" (Calq.buckets q))
-    true
-    (Calq.buckets q <= 64)
-
-let test_ladder_spawn () =
-  let n = 2000 in
-  (* skew: most mass near the origin, a far tail — the shape the ladder
-     subdivides recursively *)
-  let times =
-    Array.init n (fun i ->
-        if i < n - 10 then float_of_int i *. 1e-4 else 1000. +. float_of_int i)
-  in
-  let q = Ladq.create () in
-  let order = List.init n (fun i -> i) in
-  let popped = pop_all Ladq.add Ladq.pop_min q times order in
-  Alcotest.(check bool) "spawned a child rung" true (Ladq.spawned q > 0);
-  Alcotest.(check int) "drained" 0 (Ladq.size q);
-  Alcotest.(check (list int)) "sorted order" order popped
-
-let test_ladder_equal_key_cluster () =
-  (* hundreds of entries at one exact time exceed the sort threshold but
-     cannot be subdivided: must sort by seq into Bottom, not recurse *)
-  let n = 400 in
-  let times = Array.init n (fun i -> if i < 300 then 5.0 else 5.0 +. float_of_int i) in
-  let q = Ladq.create () in
-  let order = List.init n (fun i -> i) in
-  let popped = pop_all Ladq.add Ladq.pop_min q times order in
-  Alcotest.(check (list int)) "cluster pops in seq order" order popped
-
-let test_ladder_insert_into_drained_span () =
-  (* regression: a fully drained rung (rcur = nb) must not accept
-     inserts above its last boundary — they belong to a finer tier or
-     Bottom.  Interleave pops with inserts just above the drained
-     cluster and check global order end to end. *)
-  let cap = 600 in
-  let times = Array.make cap 0. in
-  let q = Ladq.create () in
-  let seq = ref 0 in
-  let add slot t =
-    times.(slot) <- t;
-    Ladq.add q times ~seq:!seq ~slot;
-    incr seq
-  in
-  (* a big cluster the ladder will spawn over, plus a sparse tail *)
-  for i = 0 to 399 do
-    add i (1.0 +. (float_of_int (i mod 3) *. 1e-12))
-  done;
-  for i = 400 to 499 do
-    add i (10. +. float_of_int i)
-  done;
-  let last = ref neg_infinity in
-  let monotone = ref true in
-  let next_slot = ref 500 in
-  for _ = 1 to 200 do
-    let s = Ladq.pop_min q ~max_time:infinity in
-    if s >= 0 then begin
-      if times.(s) < !last then monotone := false;
-      last := times.(s);
-      (* insert behind the remaining cluster but ahead of the clock *)
-      if !next_slot < cap then begin
-        add !next_slot (!last +. 1e-9);
-        incr next_slot
-      end
-    end
-  done;
-  let rec drain () =
-    let s = Ladq.pop_min q ~max_time:infinity in
-    if s >= 0 then begin
-      if times.(s) < !last then monotone := false;
-      last := times.(s);
-      drain ()
-    end
-  in
-  drain ();
-  Alcotest.(check bool) "pop times monotone under mid-drain inserts" true !monotone;
-  Alcotest.(check int) "nothing lost" 0 (Ladq.size q)
-
-(* ------------------------------------------------------------------ *)
-(* Pqueue space leak                                                   *)
-
-let test_pqueue_pop_releases () =
-  let q = Pqueue.create () in
-  let payload = ref (Bytes.create 64) in
-  let w = Weak.create 1 in
-  Weak.set w 0 (Some !payload);
-  Pqueue.push q ~priority:1.0 !payload;
-  (match Pqueue.pop q with
-  | Some (_, b) -> Alcotest.(check bool) "payload back" true (b == !payload)
-  | None -> Alcotest.fail "pop returned None");
-  payload := Bytes.create 0;
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool)
-    "popped payload is collectable (no internal retention)" true
-    (Weak.get w 0 = None)
+(* Split a run at a random pop: dump the queue, restore it into a fresh
+   engine at the same clock and drain that.  The firing log must equal
+   the uninterrupted run's — and so must the log of the original engine
+   drained after the dump, which leaves it untouched. *)
+let test_dump_restore_split =
+  Helpers.qtest ~count:200 "des: dump/restore split at a random pop"
+    (QCheck.make
+       ~print:(fun (s, k) -> Printf.sprintf "pop %d of %s" k (print_script s))
+       QCheck.Gen.(pair script_gen (int_bound 200)))
+    (fun (script, k) ->
+      let whole =
+        let eng, _, fired = start script in
+        ignore (Engine.drain eng);
+        List.rev !fired
+      in
+      let eng, next_seq, fired = start script in
+      for _ = 1 to k do
+        ignore (Engine.step eng)
+      done;
+      let before = !fired in
+      let dump = Engine.dump_packed eng in
+      let pending = Engine.pending eng in
+      let restored = Engine.restore_packed ~now:(Engine.now eng) dump in
+      let seq_at_dump = !next_seq in
+      Engine.set_packed_handler restored (handler ~next_seq ~fired);
+      ignore (Engine.drain restored);
+      let via_restore = List.rev !fired in
+      fired := before;
+      next_seq := seq_at_dump;
+      ignore (Engine.drain eng);
+      Array.length dump = pending && via_restore = whole && List.rev !fired = whole)
 
 (* ------------------------------------------------------------------ *)
 (* Packed codec                                                        *)
@@ -236,46 +137,29 @@ let test_packed_bounds () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Engine error paths, per backend                                     *)
+(* Engine error paths                                                  *)
 
 let test_engine_errors () =
-  List.iter
-    (fun backend ->
-      let eng = Engine.create ~backend () in
-      Alcotest.(check bool)
-        "negative delay rejected" true
-        (try
-           Engine.schedule_packed eng ~delay:(-1.) 0;
-           false
-         with Invalid_argument _ -> true);
-      Alcotest.(check bool)
-        "negative code rejected" true
-        (try
-           Engine.schedule_packed eng ~delay:0. (-1);
-           false
-         with Invalid_argument _ -> true);
-      Alcotest.(check bool)
-        "packed event without handler fails loudly" true
-        (try
-           Engine.schedule_packed eng ~delay:0. 7;
-           ignore (Engine.drain eng);
-           false
-         with Invalid_argument _ -> true))
-    Engine.backends
+  let eng = Engine.create () in
+  let rejects what f =
+    Alcotest.(check bool)
+      what true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "negative delay rejected" (fun () -> Engine.schedule_packed eng ~delay:(-1.) 0);
+  rejects "negative code rejected" (fun () -> Engine.schedule_packed eng ~delay:0. (-1));
+  rejects "packed event without handler fails loudly" (fun () ->
+      Engine.schedule_packed eng ~delay:0. 7;
+      ignore (Engine.drain eng))
 
 let suite =
   [
-    Alcotest.test_case "des: closure/packed order matches across backends" `Quick
-      test_backend_equivalence_closures;
-    Alcotest.test_case "des: calendar queue resizes and sorts" `Quick test_calendar_resize;
-    Alcotest.test_case "des: ladder queue spawns rungs and sorts" `Quick test_ladder_spawn;
-    Alcotest.test_case "des: ladder equal-key cluster sorts by seq" `Quick
-      test_ladder_equal_key_cluster;
-    Alcotest.test_case "des: ladder insert into drained span stays ordered" `Quick
-      test_ladder_insert_into_drained_span;
-    Alcotest.test_case "des: pqueue pop releases the payload" `Quick test_pqueue_pop_releases;
     Alcotest.test_case "des: packed bounds checks" `Quick test_packed_bounds;
-    Alcotest.test_case "des: engine error paths per backend" `Quick test_engine_errors;
-    test_backend_equivalence;
+    Alcotest.test_case "des: engine error paths" `Quick test_engine_errors;
+    test_sorted_order;
+    test_dump_restore_split;
     test_packed_roundtrip;
   ]

@@ -15,14 +15,21 @@ let ideal_faults latency =
 let with_loss latency loss =
   { Net.latency = Net.Constant latency; loss; duplicate = 0.; reorder = 0.; reorder_spread = 0. }
 
+(* A network whose deliveries are logged as (code, delivery time),
+   newest first. *)
+let logged_net rng faults =
+  let net = Net.create rng faults in
+  let log = ref [] in
+  Net.set_handler net (fun e code -> log := (code, Engine.now e) :: !log);
+  (net, log)
+
 (* ------------------------------------------------------------------ *)
 (* Delivery pipeline                                                   *)
 
 let test_ideal_delivery () =
-  let net = Net.create (Helpers.rng ()) (ideal_faults 0.5) in
-  let log = ref [] in
+  let net, log = logged_net (Helpers.rng ()) (ideal_faults 0.5) in
   for k = 0 to 4 do
-    Net.send net ~src:0 ~dst:1 (fun e -> log := (k, Engine.now e) :: !log)
+    Net.send net ~src:0 ~dst:1 k
   done;
   Alcotest.(check bool) "drains" true (Engine.drain (Net.engine net));
   Alcotest.(check (list (pair int (float 1e-9))))
@@ -45,9 +52,9 @@ let test_iid_loss_rate =
     (fun (seed, p10) ->
       let p = float_of_int p10 /. 10. in
       let sends = 3000 in
-      let net = Net.create (Rng.create seed) (with_loss 0.1 (Net.Iid p)) in
+      let net, _ = logged_net (Rng.create seed) (with_loss 0.1 (Net.Iid p)) in
       for _ = 1 to sends do
-        Net.send net ~src:0 ~dst:1 (fun _ -> ())
+        Net.send net ~src:0 ~dst:1 0
       done;
       ignore (Engine.drain (Net.engine net));
       let rate = float_of_int (Net.lost net) /. float_of_int sends in
@@ -58,10 +65,10 @@ let test_iid_loss_rate =
 let test_burst_loss_stationary () =
   let model = Net.Burst { p_gb = 0.1; p_bg = 0.3; loss_good = 0.05; loss_bad = 0.6 } in
   Helpers.check_close "stationary formula" 0.1875 (Net.stationary_loss model);
-  let net = Net.create (Helpers.rng ()) (with_loss 0.1 model) in
+  let net, _ = logged_net (Helpers.rng ()) (with_loss 0.1 model) in
   let sends = 20_000 in
   for _ = 1 to sends do
-    Net.send net ~src:0 ~dst:1 (fun _ -> ())
+    Net.send net ~src:0 ~dst:1 0
   done;
   ignore (Engine.drain (Net.engine net));
   let rate = float_of_int (Net.lost net) /. float_of_int sends in
@@ -73,13 +80,10 @@ let test_burst_loss_stationary () =
     (Float.abs (rate -. 0.1875) <= 0.03)
 
 let test_duplication () =
-  let net =
-    Net.create (Helpers.rng ())
-      { (ideal_faults 0.1) with Net.duplicate = 0.4 }
-  in
+  let net, _ = logged_net (Helpers.rng ()) { (ideal_faults 0.1) with Net.duplicate = 0.4 } in
   let sends = 1000 in
   for _ = 1 to sends do
-    Net.send net ~src:0 ~dst:1 (fun _ -> ())
+    Net.send net ~src:0 ~dst:1 0
   done;
   ignore (Engine.drain (Net.engine net));
   Alcotest.(check int) "every duplicate delivered"
@@ -88,16 +92,14 @@ let test_duplication () =
   Alcotest.(check bool) "duplicates happened" true (Net.duplicated net > 200)
 
 let test_reordering () =
-  let net =
-    Net.create (Helpers.rng ())
-      { (ideal_faults 1.) with Net.reorder = 0.5; reorder_spread = 10. }
+  let net, log =
+    logged_net (Helpers.rng ()) { (ideal_faults 1.) with Net.reorder = 0.5; reorder_spread = 10. }
   in
-  let log = ref [] in
   for k = 0 to 19 do
-    Net.send net ~src:0 ~dst:1 (fun _ -> log := k :: !log)
+    Net.send net ~src:0 ~dst:1 k
   done;
   ignore (Engine.drain (Net.engine net));
-  let order = List.rev !log in
+  let order = List.rev_map fst !log in
   Alcotest.(check int) "all delivered" 20 (List.length order);
   Alcotest.(check bool) "reorders recorded" true (Net.reordered net > 0);
   Alcotest.(check bool) "delivery order differs from send order" true
@@ -112,20 +114,20 @@ let test_partition_and_heal () =
       { Net.at = 5.; groups = None };
     ];
   let delivered = ref 0 in
-  let handler _ = incr delivered in
+  Net.set_handler net (fun _ _ -> incr delivered);
   let engine = Net.engine net in
   Alcotest.(check bool) "reachable before split" true (Net.reachable net ~src:0 ~dst:3);
-  Net.send net ~src:0 ~dst:3 handler;
+  Net.send net ~src:0 ~dst:3 0;
   Engine.run_until engine ~time:2.;
   Alcotest.(check int) "pre-split message crossed" 1 !delivered;
   Alcotest.(check bool) "unreachable across split" false (Net.reachable net ~src:0 ~dst:3);
-  Net.send net ~src:0 ~dst:3 handler;
-  Net.send net ~src:2 ~dst:3 handler;
+  Net.send net ~src:0 ~dst:3 0;
+  Net.send net ~src:2 ~dst:3 0;
   Engine.run_until engine ~time:4.;
   Alcotest.(check int) "cross-group dropped, within-group crossed" 2 !delivered;
   Alcotest.(check int) "partition drop recorded" 1 (Net.partitioned net);
   Engine.run_until engine ~time:6.;
-  Net.send net ~src:0 ~dst:3 handler;
+  Net.send net ~src:0 ~dst:3 0;
   ignore (Engine.drain engine);
   Alcotest.(check int) "heal restores delivery" 3 !delivered
 
@@ -176,12 +178,18 @@ let delivery_trace seed =
   Net.set_partition_schedule net events;
   let trace = ref [] in
   let engine = Net.engine net in
-  for k = 0 to 79 do
-    Engine.schedule_at engine
-      ~time:(float_of_int k *. 0.1)
-      (fun _ ->
+  (* kind 0: the timer that sends message [src]; kind 1: its delivery *)
+  Net.set_handler net (fun e code ->
+      let k = Net.Packed.src code in
+      if Net.Packed.kind code = 0 then begin
         let src = Rng.int rng n and dst = Rng.int rng n in
-        Net.send net ~src ~dst (fun e -> trace := (k, Engine.now e) :: !trace))
+        Net.send net ~src ~dst (Net.Packed.pack ~kind:1 ~src:k ~dst:0)
+      end
+      else trace := (k, Engine.now e) :: !trace);
+  for k = 0 to 79 do
+    Engine.schedule_packed_at engine
+      ~time:(float_of_int k *. 0.1)
+      (Net.Packed.pack ~kind:0 ~src:k ~dst:0)
   done;
   ignore (Engine.drain engine);
   List.rev !trace
@@ -326,8 +334,8 @@ let test_drain_budget_counter () =
       let c = Obs.Counter.make "des.drain_budget_exhausted" in
       let before = Obs.Counter.value c in
       let e = Engine.create () in
-      let rec forever engine = Engine.schedule engine ~delay:1. forever in
-      Engine.schedule e ~delay:0. forever;
+      Engine.set_packed_handler e (fun engine code -> Engine.schedule_packed engine ~delay:1. code);
+      Engine.schedule_packed e ~delay:0. 0;
       Alcotest.(check bool) "budget exhausted" false (Engine.drain ~max_events:100 e);
       Alcotest.(check int) "counter bumped" (before + 1) (Obs.Counter.value c))
 

@@ -56,22 +56,6 @@ let spin () =
   done;
   ignore (Sys.opaque_identity !acc)
 
-let test_timer_accumulates () =
-  let t = Obs.Timer.create () in
-  Alcotest.(check bool) "fresh timer at zero" true (Obs.Timer.wall_s t = 0.);
-  Obs.Timer.time t spin;
-  let once = Obs.Timer.wall_s t in
-  Alcotest.(check bool) "first interval positive" true (once > 0.);
-  Obs.Timer.time t spin;
-  Alcotest.(check bool) "second interval accumulates" true (Obs.Timer.wall_s t > once);
-  Alcotest.(check bool) "not running after stop" true (not (Obs.Timer.running t));
-  Alcotest.check_raises "stop when idle"
-    (Invalid_argument "Obs.Timer.stop: not running") (fun () -> Obs.Timer.stop t);
-  Obs.Timer.start t;
-  Alcotest.check_raises "double start"
-    (Invalid_argument "Obs.Timer.start: already running") (fun () -> Obs.Timer.start t);
-  Obs.Timer.stop t
-
 let test_spans_nest () =
   with_obs (fun () ->
       Obs.Span.reset ();
@@ -248,7 +232,6 @@ let suite =
     Alcotest.test_case "counters are monotone" `Quick test_counter_monotone;
     Alcotest.test_case "counters gated on the switch" `Quick test_counter_gating;
     Alcotest.test_case "counter registry idempotent" `Quick test_counter_registry;
-    Alcotest.test_case "timers accumulate" `Quick test_timer_accumulates;
     Alcotest.test_case "spans nest correctly" `Quick test_spans_nest;
     Alcotest.test_case "spans survive exceptions" `Quick test_span_exception_safe;
     Alcotest.test_case "histogram buckets exact at powers of two" `Quick
