@@ -1,6 +1,5 @@
 module Rng = Stratify_prng.Rng
 module Gen = Stratify_graph.Gen
-module Undirected = Stratify_graph.Undirected
 module Series = Stratify_stats.Series
 
 type params = {
@@ -91,8 +90,7 @@ let restore_world ~n ~b ~present ~adjacency ~config_pairs ~stable_pairs =
     invalid_arg
       (Printf.sprintf "Churn.restore_world: |adjacency| = %d, expected %d"
          (Array.length adjacency) n);
-  let graph = Undirected.of_adjacency_arrays adjacency in
-  let instance = Instance.dynamic ~graph ~b:(Array.make n b) () in
+  let instance = Instance.dynamic_of_rows ~rows:adjacency ~b:(Array.make n b) () in
   {
     present = Array.copy present;
     budgets = Array.make n b;

@@ -90,8 +90,10 @@ val restore_world :
     arrays, the present mask, and the evolving/stable configurations as
     pair lists.  Restored worlds always use [Random_poll]; the repair
     machinery is reconstructed empty, which is exact because every event
-    drains it before returning.  Raises [Invalid_argument] on
-    mis-sized inputs, or (via {!Config.of_pairs}) on pairs that violate
+    drains it before returning.  Raises a named [Invalid_argument] on
+    mis-sized inputs, on rows {!Instance.dynamic_of_rows} rejects
+    (unsorted, out of range, self-loop, asymmetric), or (via
+    {!Config.of_pairs}) on pairs that are out of range or violate
     acceptability or budgets. *)
 
 val remove_peer : world -> int -> unit

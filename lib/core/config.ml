@@ -380,7 +380,13 @@ let absorb t local ~shift =
 
 let of_pairs instance pairs =
   let t = empty instance in
-  List.iter (fun (p, q) -> connect t p q) pairs;
+  let n = Instance.n instance in
+  List.iter
+    (fun (p, q) ->
+      if p < 0 || p >= n || q < 0 || q >= n then
+        invalid_arg (Printf.sprintf "Config.of_pairs: pair (%d, %d) outside [0, %d)" p q n);
+      connect t p q)
+    pairs;
   t
 
 let raw_off t = t.off

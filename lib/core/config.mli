@@ -107,7 +107,8 @@ val to_adjacency : t -> int array array
 (** Collaboration graph as sorted adjacency arrays over rank labels. *)
 
 val of_pairs : Instance.t -> (int * int) list -> t
-(** Build from explicit pairs; validates acceptability and budgets. *)
+(** Build from explicit pairs; validates range, acceptability and
+    budgets. *)
 
 val absorb : t -> t -> shift:int -> unit
 (** [absorb t local ~shift] bulk-copies the band-local configuration

@@ -300,6 +300,55 @@ let dynamic ~graph ~b () =
   in
   finish ~backend:(Dynamic { rows; len }) ~ranking:(Ranking.identity n) ~b ~n
 
+(* Rows that are already the backend's layout (a snapshot's) are
+   checked, not rebuilt through a graph.  Symmetry in one pass: scanning
+   [p] upwards, the rows that list some [q > p] must meet [q]'s
+   below-diagonal entries in [q]'s own increasing order. *)
+let dynamic_of_rows ~rows ~b () =
+  let n = Array.length rows in
+  check_b ~n b;
+  let fail fmt = Printf.ksprintf invalid_arg ("Instance.dynamic_of_rows: " ^^ fmt) in
+  let asymmetric p q = fail "row %d lists %d but row %d does not list %d" p q q p in
+  Array.iteri
+    (fun p row ->
+      Array.iteri
+        (fun i q ->
+          if q < 0 || q >= n then fail "row %d: neighbour %d outside [0, %d)" p q n;
+          if q = p then fail "row %d: self-loop" p;
+          if i > 0 && row.(i - 1) >= q then
+            fail "row %d is not strictly increasing at index %d" p i)
+        row)
+    rows;
+  let met = Array.make n 0 in
+  let pending q = if met.(q) < Array.length rows.(q) then rows.(q).(met.(q)) else q in
+  Array.iteri
+    (fun p row ->
+      Array.iter
+        (fun q ->
+          if q > p then begin
+            let r = pending q in
+            if r < p then asymmetric q r;
+            if r <> p then asymmetric p q;
+            met.(q) <- met.(q) + 1
+          end)
+        row)
+    rows;
+  Array.iteri
+    (fun q _ ->
+      let r = pending q in
+      if r < q then asymmetric q r)
+    rows;
+  let len = Array.map Array.length rows in
+  let bufs =
+    Array.map
+      (fun row ->
+        let buf = Array.make (max 4 (Array.length row)) 0 in
+        Array.blit row 0 buf 0 (Array.length row);
+        buf)
+      rows
+  in
+  finish ~backend:(Dynamic { rows = bufs; len }) ~ranking:(Ranking.identity n) ~b ~n
+
 let dyn_fields t =
   match t.backend with
   | Dynamic { rows; len } -> (rows, len)

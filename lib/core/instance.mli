@@ -56,6 +56,13 @@ val dynamic : graph:Stratify_graph.Undirected.t -> b:int array -> unit -> t
     frozen backends its acceptance rows may change after construction
     through {!dyn_add_edge}/{!dyn_isolate}; budgets stay fixed. *)
 
+val dynamic_of_rows : rows:int array array -> b:int array -> unit -> t
+(** The same [`Dynamic] instance from its acceptance rows as
+    {!raw_backend} shows them: [rows.(p)] lists [p]'s acceptable peers
+    in increasing order.  Raises a named [Invalid_argument] unless every
+    row is strictly increasing, within [[0, n)], free of self-loops and
+    matched by the converse entries. *)
+
 val dyn_add_edge : t -> int -> int -> unit
 (** Add an acceptance edge to a [`Dynamic] instance (no-op when already
     present).  O(degree) per endpoint.  Raises [Invalid_argument] on

@@ -35,6 +35,11 @@ type swarm_state = {
          replays create from here to regenerate the knowledge graph and
          piece fields bit-for-bit, then overwrites the mutable state *)
   members : int array;  (* slot -> peer id, -1 = free *)
+  occupied : int array;
+      (* Fenwick tree over [members]: occupied.(i) counts the occupied
+         slots in (i - lowbit i, i], 1-based *)
+  picked : int array;  (* slot -> last [pick_stamp] that picked it *)
+  mutable pick_stamp : int;
   slot_of : (int, int) Hashtbl.t;
   mutable member_count : int;
 }
@@ -60,6 +65,7 @@ type t = {
   mutable checksum : int;
   mutable requests_handled : int;
   mutable measure_latency : bool;
+  resp : Buffer.t;  (* announce responses are built here *)
 }
 
 let script t = t.scr
@@ -110,8 +116,26 @@ let free_slot ss =
   in
   go 0
 
+let fenwick_add ss slot delta =
+  let i = ref (slot + 1) in
+  while !i <= Array.length ss.members do
+    ss.occupied.(!i) <- ss.occupied.(!i) + delta;
+    i := !i + (!i land - !i)
+  done
+
+let fenwick_of_members members =
+  let n = Array.length members in
+  let tree = Array.make (n + 1) 0 in
+  for i = 1 to n do
+    if members.(i - 1) >= 0 then tree.(i) <- tree.(i) + 1;
+    let j = i + (i land -i) in
+    if j <= n then tree.(j) <- tree.(j) + tree.(i)
+  done;
+  tree
+
 let take_slot ss peer slot =
   ss.members.(slot) <- peer;
+  fenwick_add ss slot 1;
   Hashtbl.replace ss.slot_of peer slot;
   ss.member_count <- ss.member_count + 1;
   Swarm.recycle_peer ss.swarm slot
@@ -119,24 +143,43 @@ let take_slot ss peer slot =
 let release_slot ss peer slot =
   Swarm.recycle_peer ss.swarm slot;
   ss.members.(slot) <- -1;
+  fenwick_add ss slot (-1);
   Hashtbl.remove ss.slot_of peer;
   ss.member_count <- ss.member_count - 1
 
-(* r-th occupied slot's occupant (r < member_count) *)
-let nth_member ss r =
-  let k = ref r and res = ref (-1) in
-  (try
-     Array.iter
-       (fun p ->
-         if p >= 0 then
-           if !k = 0 then begin
-             res := p;
-             raise Exit
-           end
-           else decr k)
-       ss.members
-   with Exit -> ());
-  !res
+(* The r-th occupied slot (r < member_count), by descending the tree. *)
+let nth_slot ss r =
+  let n = Array.length ss.members in
+  let pos = ref 0 and rest = ref r in
+  let step = ref 1 in
+  while 2 * !step <= n do
+    step := 2 * !step
+  done;
+  while !step > 0 do
+    let next = !pos + !step in
+    if next <= n && ss.occupied.(next) <= !rest then begin
+      pos := next;
+      rest := !rest - ss.occupied.(next)
+    end;
+    step := !step / 2
+  done;
+  !pos
+
+let new_swarm_state sspec swarm ~faults ~created_rng members =
+  let slot_of = Hashtbl.create 64 in
+  Array.iteri (fun slot pid -> if pid >= 0 then Hashtbl.replace slot_of pid slot) members;
+  {
+    sspec;
+    swarm;
+    faults;
+    created_rng;
+    members;
+    occupied = fenwick_of_members members;
+    picked = Array.make (Array.length members) 0;
+    pick_stamp = 0;
+    slot_of;
+    member_count = Hashtbl.length slot_of;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Churn: the population evolves under the oracle, and swarm           *)
@@ -228,31 +271,39 @@ let do_announce t peer sid want =
   if not seated then Printf.sprintf "ERR announce %s full" sid
   else begin
     let want = max 0 (min want (ss.member_count - 1)) in
-    let picks = ref [] and npicks = ref 0 in
-    let consider q =
-      if
-        !npicks < want && q <> peer
-        && Hashtbl.mem ss.slot_of q
-        && not (List.mem q !picks)
-      then begin
-        picks := q :: !picks;
+    let buf = t.resp in
+    Buffer.clear buf;
+    Buffer.add_string buf "OK announce ";
+    Buffer.add_string buf sid;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (string_of_int peer);
+    Buffer.add_string buf " peers";
+    ss.pick_stamp <- ss.pick_stamp + 1;
+    let npicks = ref 0 in
+    let consider q slot =
+      if !npicks < want && q <> peer && ss.picked.(slot) <> ss.pick_stamp then begin
+        ss.picked.(slot) <- ss.pick_stamp;
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (string_of_int q);
         incr npicks
       end
     in
     (* stable-configuration mates first: the tracker answer *is* the
        paper's stratified matching, restricted to this swarm *)
-    List.iter consider (Config.mates (Churn.world_stable t.oracle) peer);
+    List.iter
+      (fun q ->
+        match Hashtbl.find_opt ss.slot_of q with Some slot -> consider q slot | None -> ())
+      (Config.mates (Churn.world_stable t.oracle) peer);
     (* pad with uniform member draws; bounded attempts keep a
        near-degenerate membership from spinning *)
     let attempts = ref 0 in
     let max_attempts = (4 * want) + 8 in
     while !npicks < want && !attempts < max_attempts do
       incr attempts;
-      consider (nth_member ss (Rng.int t.req_rng ss.member_count))
+      let slot = nth_slot ss (Rng.int t.req_rng ss.member_count) in
+      consider ss.members.(slot) slot
     done;
-    Printf.sprintf "OK announce %s %d peers%s" sid peer
-      (String.concat ""
-         (List.map (fun q -> " " ^ string_of_int q) (List.rev !picks)))
+    Buffer.contents buf
   end
 
 let do_join t peer sid =
@@ -424,15 +475,7 @@ let create scr =
         let created_rng = Rng.state srng in
         let faults = make_faults ~seed:scr.Request.seed ~idx sw in
         let swarm = Swarm.create srng (swarm_params sw ~faults) in
-        {
-          sspec = sw;
-          swarm;
-          faults;
-          created_rng;
-          members = Array.make sw.size (-1);
-          slot_of = Hashtbl.create 64;
-          member_count = 0;
-        })
+        new_swarm_state sw swarm ~faults ~created_rng (Array.make sw.size (-1)))
       w.Request.swarms
   in
   let engine = Engine.create () in
@@ -458,6 +501,7 @@ let create scr =
       checksum = fnv_offset;
       requests_handled = 0;
       measure_latency = false;
+      resp = Buffer.create 256;
     }
   in
   install_handler t;
@@ -530,400 +574,487 @@ let manifest ?git t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot.  Int64s travel as decimal strings (Jsonx.Int is an OCaml  *)
-(* 63-bit int); every hash-table dump is sorted by key so the bytes    *)
-(* are canonical.                                                      *)
+(* Snapshot: one compact JSON document, written straight into a       *)
+(* buffer and read back with Jsonx's pull reader, no tree in between. *)
+(* Int64s travel as decimal strings (a Jsonx int is OCaml's 63-bit    *)
+(* int); every hash-table dump is sorted by key so the bytes are      *)
+(* canonical.  Members are read in the order they are written.        *)
 
-let json_of_int64 x = Jsonx.String (Int64.to_string x)
+(* [{"k": ] opens an object at its first member, [, "k": ] adds one. *)
+let w_first b k =
+  Buffer.add_string b "{\"";
+  Buffer.add_string b k;
+  Buffer.add_string b "\": "
 
-let json_of_rng_state st =
-  Jsonx.List (List.map json_of_int64 (Array.to_list st))
+let w_key b k =
+  Buffer.add_string b ", \"";
+  Buffer.add_string b k;
+  Buffer.add_string b "\": "
 
-let json_of_groups = function
-  | None -> Jsonx.Null
-  | Some g -> Jsonx.List (List.map (fun x -> Jsonx.Int x) (Array.to_list g))
+(* [w_seq b f iter] writes the array of the values [iter] yields. *)
+let w_seq b f iter =
+  Buffer.add_char b '[';
+  let first = ref true in
+  iter (fun x ->
+      if !first then first := false else Buffer.add_string b ", ";
+      f b x);
+  Buffer.add_char b ']'
 
-let json_of_faults = function
-  | None -> Jsonx.Null
+let w_array b f a = w_seq b f (fun g -> Array.iter g a)
+let w_list b f l = w_seq b f (fun g -> List.iter g l)
+let w_int64 b x = Jsonx.write_string b (Int64.to_string x)
+let w_rng b st = w_array b w_int64 st
+
+let w_groups b = function
+  | None -> Buffer.add_string b "null"
+  | Some g -> w_array b Jsonx.write_int g
+
+let w_faults b = function
+  | None -> Buffer.add_string b "null"
   | Some f ->
       let s = Net.Tick.snapshot f in
-      Jsonx.Obj
-        [
-          ("base", json_of_int64 s.Net.Tick.snap_base);
-          ("loss", Jsonx.Float s.Net.Tick.snap_loss);
-          ( "pending",
-            Jsonx.List
-              (List.map
-                 (fun (e : Net.Tick.event) ->
-                   Jsonx.Obj
-                     [
-                       ("at_tick", Jsonx.Int e.at_tick);
-                       ("groups", json_of_groups e.groups);
-                     ])
-                 s.Net.Tick.snap_pending) );
-          ("groups", json_of_groups s.Net.Tick.snap_groups);
-          ("drops", Jsonx.Int s.Net.Tick.snap_drops);
-        ]
+      w_first b "base";
+      w_int64 b s.Net.Tick.snap_base;
+      w_key b "loss";
+      Jsonx.write_float b s.Net.Tick.snap_loss;
+      w_key b "pending";
+      w_list b
+        (fun b (e : Net.Tick.event) ->
+          w_first b "at_tick";
+          Jsonx.write_int b e.at_tick;
+          w_key b "groups";
+          w_groups b e.groups;
+          Buffer.add_char b '}')
+        s.Net.Tick.snap_pending;
+      w_key b "groups";
+      w_groups b s.Net.Tick.snap_groups;
+      w_key b "drops";
+      Jsonx.write_int b s.Net.Tick.snap_drops;
+      Buffer.add_char b '}'
 
-let json_of_swarm ss =
+let w_rate b (q, r) =
+  let buckets, stamps, total = Rate.dump r in
+  w_first b "from";
+  Jsonx.write_int b q;
+  w_key b "window";
+  Jsonx.write_int b (Rate.window r);
+  w_key b "buckets";
+  w_array b Jsonx.write_float buckets;
+  w_key b "stamps";
+  w_array b Jsonx.write_int stamps;
+  w_key b "total";
+  Jsonx.write_float b total;
+  Buffer.add_char b '}'
+
+let w_peer b (p : Peer.t) =
+  w_first b "unchoked";
+  w_list b Jsonx.write_int p.unchoked;
+  w_key b "optimistic";
+  Jsonx.write_int b (match p.optimistic with Some q -> q | None -> -1);
+  w_key b "uploaded";
+  Jsonx.write_float b p.uploaded;
+  w_key b "downloaded";
+  Jsonx.write_float b p.downloaded;
+  w_key b "uploaded_tft";
+  Jsonx.write_float b p.uploaded_tft;
+  w_key b "downloaded_tft";
+  Jsonx.write_float b p.downloaded_tft;
+  w_key b "pieces";
+  (match p.field with
+  | None -> Buffer.add_string b "null"
+  | Some f -> w_seq b Jsonx.write_int (Piece.iter_held f));
+  w_key b "rates";
+  w_list b w_rate
+    (Hashtbl.fold (fun q r acc -> (q, r) :: acc) p.link_rates []
+    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b));
+  Buffer.add_char b '}'
+
+let w_swarm b ss =
   let sw = ss.swarm in
-  let peers =
-    List.init (Swarm.size sw) (fun i ->
-        let p = Swarm.peer sw i in
-        let rates =
-          Hashtbl.fold (fun q r acc -> (q, r) :: acc) p.Peer.link_rates []
-          |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-          |> List.map (fun (q, r) ->
-                 let buckets, stamps, total = Rate.dump r in
-                 Jsonx.Obj
-                   [
-                     ("from", Jsonx.Int q);
-                     ("window", Jsonx.Int (Rate.window r));
-                     ( "buckets",
-                       Jsonx.List
-                         (List.map (fun x -> Jsonx.Float x)
-                            (Array.to_list buckets)) );
-                     ( "stamps",
-                       Jsonx.List
-                         (List.map (fun x -> Jsonx.Int x) (Array.to_list stamps))
-                     );
-                     ("total", Jsonx.Float total);
-                   ])
-        in
-        let pieces =
-          match p.Peer.field with
-          | None -> Jsonx.Null
-          | Some f ->
-              let held = ref [] in
-              Piece.iter_held f (fun pc -> held := pc :: !held);
-              Jsonx.List
-                (List.map (fun pc -> Jsonx.Int pc) (List.sort compare !held))
-        in
-        Jsonx.Obj
-          [
-            ( "unchoked",
-              Jsonx.List (List.map (fun q -> Jsonx.Int q) p.Peer.unchoked) );
-            ( "optimistic",
-              Jsonx.Int (match p.Peer.optimistic with Some q -> q | None -> -1)
-            );
-            ("uploaded", Jsonx.Float p.Peer.uploaded);
-            ("downloaded", Jsonx.Float p.Peer.downloaded);
-            ("uploaded_tft", Jsonx.Float p.Peer.uploaded_tft);
-            ("downloaded_tft", Jsonx.Float p.Peer.downloaded_tft);
-            ("pieces", pieces);
-            ("rates", Jsonx.List rates);
-          ])
-  in
-  let progress =
-    let acc = ref [] in
-    Swarm.iter_link_progress sw (fun s r v -> acc := (s, r, v) :: !acc);
-    Jsonx.List
-      (List.map
-         (fun (s, r, v) ->
-           Jsonx.List [ Jsonx.Int s; Jsonx.Int r; Jsonx.Float v ])
-         (List.sort compare !acc))
-  in
-  Jsonx.Obj
-    [
-      ("sid", Jsonx.String ss.sspec.Request.sid);
-      ("created_rng", json_of_rng_state ss.created_rng);
-      ("rng", json_of_rng_state (Rng.state (Swarm.rng sw)));
-      ("tick", Jsonx.Int (Swarm.tick_count sw));
-      ( "members",
-        Jsonx.List (List.map (fun m -> Jsonx.Int m) (Array.to_list ss.members))
-      );
-      ("faults", json_of_faults ss.faults);
-      ("peers", Jsonx.List peers);
-      ("progress", progress);
-    ]
+  w_first b "sid";
+  Jsonx.write_string b ss.sspec.Request.sid;
+  w_key b "created_rng";
+  w_rng b ss.created_rng;
+  w_key b "rng";
+  w_rng b (Rng.state (Swarm.rng sw));
+  w_key b "tick";
+  Jsonx.write_int b (Swarm.tick_count sw);
+  w_key b "members";
+  w_array b Jsonx.write_int ss.members;
+  w_key b "faults";
+  w_faults b ss.faults;
+  w_key b "peers";
+  w_seq b w_peer (fun g ->
+      for i = 0 to Swarm.size sw - 1 do
+        g (Swarm.peer sw i)
+      done);
+  w_key b "progress";
+  let acc = ref [] in
+  Swarm.iter_link_progress sw (fun s r v -> acc := (s, r, v) :: !acc);
+  w_list b
+    (fun b (s, r, v) ->
+      Buffer.add_char b '[';
+      Jsonx.write_int b s;
+      Buffer.add_string b ", ";
+      Jsonx.write_int b r;
+      Buffer.add_string b ", ";
+      Jsonx.write_float b v;
+      Buffer.add_char b ']')
+    (List.sort compare !acc);
+  Buffer.add_char b '}'
 
-let json_of_oracle oracle =
-  let present = Churn.world_present oracle in
-  let adjacency =
-    match Instance.raw_backend (Churn.world_instance oracle) with
-    | Instance.Raw_dynamic { rows; len } ->
-        Jsonx.List
-          (List.init (Array.length rows) (fun i ->
-               Jsonx.List (List.init len.(i) (fun j -> Jsonx.Int rows.(i).(j)))))
-    | _ -> invalid_arg "Serve.snapshot: oracle instance is not dynamic"
-  in
-  let pairs cfg =
-    let acc = ref [] in
-    Config.iter_pairs
-      (fun p q -> acc := Jsonx.List [ Jsonx.Int p; Jsonx.Int q ] :: !acc)
-      cfg;
-    Jsonx.List (List.rev !acc)
-  in
-  Jsonx.Obj
-    [
-      ( "present",
-        Jsonx.List
-          (List.map
-             (fun b -> Jsonx.Int (if b then 1 else 0))
-             (Array.to_list present)) );
-      ("adjacency", adjacency);
-      ("config", pairs (Churn.world_config oracle));
-      ("stable", pairs (Churn.world_stable oracle));
-    ]
+let w_pair b (p, q) =
+  Buffer.add_char b '[';
+  Jsonx.write_int b p;
+  Buffer.add_string b ", ";
+  Jsonx.write_int b q;
+  Buffer.add_char b ']'
 
-let snapshot t =
-  let queue = Engine.dump_packed t.engine in
-  Jsonx.Obj
-    [
-      ("schema_version", Jsonx.Int 1);
-      ("kind", Jsonx.String "serve-snapshot");
-      ("script", Request.to_json t.scr);
-      ("now", Jsonx.Float (Engine.now t.engine));
-      ("ticks", Jsonx.Int t.ticks);
-      ( "tallies",
-        Jsonx.Obj
-          [
-            ("announces", Jsonx.Int t.announces);
-            ("joins", Jsonx.Int t.joins);
-            ("leaves", Jsonx.Int t.leaves);
-            ("scrapes", Jsonx.Int t.scrapes);
-            ("stats", Jsonx.Int t.stats_reqs);
-            ("reconnects", Jsonx.Int t.reconnects);
-            ("arrivals", Jsonx.Int t.arrivals);
-            ("departures", Jsonx.Int t.departures);
-            ("requests_handled", Jsonx.Int t.requests_handled);
-          ] );
-      ("checksum", Jsonx.Int t.checksum);
-      ("req_rng", json_of_rng_state (Rng.state t.req_rng));
-      ("churn_rng", json_of_rng_state (Rng.state t.churn_rng));
-      ( "queue",
-        Jsonx.List
-          (List.map
-             (fun (time, code) ->
-               Jsonx.List [ Jsonx.Float time; Jsonx.Int code ])
-             (Array.to_list queue)) );
-      ("oracle", json_of_oracle t.oracle);
-      ("swarms", Jsonx.List (List.map json_of_swarm t.swarms));
-    ]
+let w_oracle b oracle =
+  w_first b "present";
+  w_array b (fun b p -> Jsonx.write_int b (Bool.to_int p)) (Churn.world_present oracle);
+  w_key b "adjacency";
+  (match Instance.raw_backend (Churn.world_instance oracle) with
+  | Instance.Raw_dynamic { rows; len } ->
+      w_seq b
+        (fun b p ->
+          w_seq b Jsonx.write_int (fun g ->
+              for j = 0 to len.(p) - 1 do
+                g rows.(p).(j)
+              done))
+        (fun g ->
+          for p = 0 to Array.length rows - 1 do
+            g p
+          done)
+  | _ -> invalid_arg "Serve.snapshot_string: oracle instance is not dynamic");
+  let pairs cfg = w_seq b w_pair (fun g -> Config.iter_pairs (fun p q -> g (p, q)) cfg) in
+  w_key b "config";
+  pairs (Churn.world_config oracle);
+  w_key b "stable";
+  pairs (Churn.world_stable oracle);
+  Buffer.add_char b '}'
 
-let snapshot_string t = Jsonx.to_string ~indent:false (snapshot t)
+let tallies t =
+  [
+    ("announces", t.announces);
+    ("joins", t.joins);
+    ("leaves", t.leaves);
+    ("scrapes", t.scrapes);
+    ("stats", t.stats_reqs);
+    ("reconnects", t.reconnects);
+    ("arrivals", t.arrivals);
+    ("departures", t.departures);
+    ("requests_handled", t.requests_handled);
+  ]
+
+let snapshot_string t =
+  let b = Buffer.create 65536 in
+  w_first b "schema_version";
+  Jsonx.write_int b 1;
+  w_key b "kind";
+  Jsonx.write_string b "serve-snapshot";
+  w_key b "script";
+  Jsonx.write b (Request.to_json t.scr);
+  w_key b "now";
+  Jsonx.write_float b (Engine.now t.engine);
+  w_key b "ticks";
+  Jsonx.write_int b t.ticks;
+  w_key b "tallies";
+  List.iteri
+    (fun i (k, v) ->
+      (if i = 0 then w_first else w_key) b k;
+      Jsonx.write_int b v)
+    (tallies t);
+  Buffer.add_char b '}';
+  w_key b "checksum";
+  Jsonx.write_int b t.checksum;
+  w_key b "req_rng";
+  w_rng b (Rng.state t.req_rng);
+  w_key b "churn_rng";
+  w_rng b (Rng.state t.churn_rng);
+  w_key b "queue";
+  w_array b
+    (fun b (time, code) ->
+      Buffer.add_char b '[';
+      Jsonx.write_float b time;
+      Buffer.add_string b ", ";
+      Jsonx.write_int b code;
+      Buffer.add_char b ']')
+    (Engine.dump_packed t.engine);
+  w_key b "oracle";
+  w_oracle b t.oracle;
+  w_key b "swarms";
+  w_list b w_swarm t.swarms;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Restore.                                                            *)
+(* Restore.  Shape errors raise [Jsonx.Parse_error]; values out of     *)
+(* range raise a named [Invalid_argument], here or in the module that *)
+(* takes them.                                                         *)
 
-let parse_fail fmt =
-  Printf.ksprintf (fun msg -> raise (Jsonx.Parse_error msg)) fmt
+let what = "Serve.restore_string"
+let parse_fail fmt = Printf.ksprintf (fun msg -> raise (Jsonx.Parse_error msg)) fmt
+let bad fmt = Printf.ksprintf (fun msg -> invalid_arg (what ^ ": " ^ msg)) fmt
 
-let req what name obj =
-  match List.assoc_opt name obj with
-  | Some v -> v
-  | None -> parse_fail "%s: missing field %S" what name
+let field r name read =
+  Jsonx.read_field r name;
+  read r
 
-let int64_of_json what = function
-  | Jsonx.String s -> (
-      try Int64.of_string s
-      with _ -> parse_fail "%s: bad int64 %S" what s)
-  | _ -> parse_fail "%s: expected an int64-as-string" what
+(* An array of unknown length, read through one growing buffer that
+   starts at [hint] entries (the length, where the document names it
+   before the array). *)
+let r_array ?(hint = 8) read r =
+  let buf = ref [||] and n = ref 0 in
+  Jsonx.read_list r (fun r ->
+      let x = read r in
+      if !n = Array.length !buf then begin
+        let grown = Array.make (if !n = 0 then max 1 (min hint 1024) else 2 * !n) x in
+        Array.blit !buf 0 grown 0 !n;
+        buf := grown
+      end;
+      !buf.(!n) <- x;
+      incr n);
+  if !n = Array.length !buf then !buf else Array.sub !buf 0 !n
 
-let rng_state_of_json what = function
-  | Jsonx.List l -> Array.of_list (List.map (int64_of_json what) l)
-  | _ -> parse_fail "%s: expected an RNG state list" what
+let r_list read r = Array.to_list (r_array read r)
 
-let int_array what = function
-  | Jsonx.List l -> Array.of_list (List.map Jsonx.get_int l)
-  | _ -> parse_fail "%s: expected an int array" what
+(* A fixed-arity array: [read r i] reads entry [i]. *)
+let r_tuple name arity read r =
+  let i = ref 0 in
+  Jsonx.read_list r (fun r ->
+      if !i >= arity then parse_fail "%s: %s entry has more than %d fields" what name arity;
+      read r !i;
+      incr i);
+  if !i <> arity then parse_fail "%s: %s entry has %d fields, expected %d" what name !i arity
 
-let float_array what = function
-  | Jsonx.List l -> Array.of_list (List.map Jsonx.get_float l)
-  | _ -> parse_fail "%s: expected a float array" what
+let r_pair name r =
+  let p = ref 0 and q = ref 0 in
+  r_tuple name 2 (fun r i -> (if i = 0 then p else q) := Jsonx.read_int r) r;
+  (!p, !q)
 
-let groups_of_json what = function
-  | Jsonx.Null -> None
-  | j -> Some (int_array what j)
+let r_int64 r =
+  let s = Jsonx.read_string r in
+  match Int64.of_string_opt s with Some x -> x | None -> parse_fail "%s: bad int64 %S" what s
 
-let faults_of_json what = function
-  | Jsonx.Null -> None
-  | fj ->
-      let fo = Jsonx.get_obj fj in
-      let pending =
-        List.map
-          (fun ej ->
-            let eo = Jsonx.get_obj ej in
-            {
-              Net.Tick.at_tick = Jsonx.get_int (req what "at_tick" eo);
-              groups = groups_of_json what (req what "groups" eo);
-            })
-          (Jsonx.get_list (req what "pending" fo))
-      in
-      Some
-        (Net.Tick.restore
-           {
-             Net.Tick.snap_base = int64_of_json what (req what "base" fo);
-             snap_loss = Jsonx.get_float (req what "loss" fo);
-             snap_pending = pending;
-             snap_groups = groups_of_json what (req what "groups" fo);
-             snap_drops = Jsonx.get_int (req what "drops" fo);
-           })
+let r_rng = r_array r_int64
+let r_groups r = if Jsonx.read_null r then None else Some (r_array Jsonx.read_int r)
 
-let restore_swarm what (sw : Request.swarm_spec) sj =
-  let obj = Jsonx.get_obj sj in
-  let sid = Jsonx.get_string (req what "sid" obj) in
-  if not (String.equal sid sw.sid) then
-    parse_fail "%s: swarm %S out of order (script declares %S here)" what sid
-      sw.sid;
-  let what = Printf.sprintf "%s.swarm[%s]" what sid in
-  let created_rng = rng_state_of_json what (req what "created_rng" obj) in
-  let faults = faults_of_json what (req what "faults" obj) in
-  (* replay create from the captured pre-create RNG state: regenerates
-     the knowledge graph and piece fields bit-for-bit *)
-  let srng = Rng.of_state created_rng in
-  let swarm = Swarm.create srng (swarm_params sw ~faults) in
-  Rng.set_state (Swarm.rng swarm) (rng_state_of_json what (req what "rng" obj));
-  Swarm.set_tick swarm (Jsonx.get_int (req what "tick" obj));
-  let members = int_array what (req what "members" obj) in
-  if Array.length members <> sw.size then
-    parse_fail "%s: members has %d slots, swarm has %d" what
-      (Array.length members) sw.size;
-  let peers_j = Jsonx.get_list (req what "peers" obj) in
-  if List.length peers_j <> sw.size then
-    parse_fail "%s: %d peer records, swarm has %d slots" what
-      (List.length peers_j) sw.size;
-  List.iteri
-    (fun i pj ->
-      let po = Jsonx.get_obj pj in
-      let p = Swarm.peer swarm i in
-      p.Peer.unchoked <-
-        List.map Jsonx.get_int (Jsonx.get_list (req what "unchoked" po));
-      p.Peer.optimistic <-
-        (match Jsonx.get_int (req what "optimistic" po) with
+let check_range name ~lo ~hi x =
+  if x < lo || x >= hi then bad "%s %d outside [%d, %d)" name x lo hi
+
+let r_faults size r =
+  if Jsonx.read_null r then None
+  else
+    let groups r =
+      let g = r_groups r in
+      Option.iter
+        (fun g ->
+          if Array.length g <> size then
+            bad "fault groups have %d entries, the swarm has %d slots" (Array.length g) size)
+        g;
+      g
+    in
+    Jsonx.read_obj r (fun () ->
+        let snap_base = field r "base" r_int64 in
+        let snap_loss = field r "loss" Jsonx.read_float in
+        let snap_pending =
+          field r "pending"
+            (r_list (fun r ->
+                 Jsonx.read_obj r (fun () ->
+                     let at_tick = field r "at_tick" Jsonx.read_int in
+                     { Net.Tick.at_tick; groups = field r "groups" groups })))
+        in
+        let snap_groups = field r "groups" groups in
+        let snap_drops = field r "drops" Jsonx.read_int in
+        Some
+          (Net.Tick.restore
+             { Net.Tick.snap_base; snap_loss; snap_pending; snap_groups; snap_drops }))
+
+let r_rates size (p : Peer.t) r =
+  Hashtbl.reset p.link_rates;
+  Jsonx.read_list r (fun r ->
+      Jsonx.read_obj r (fun () ->
+          let q = field r "from" Jsonx.read_int in
+          check_range "rate source" ~lo:0 ~hi:size q;
+          let window = field r "window" Jsonx.read_int in
+          let buckets = field r "buckets" (r_array ~hint:window Jsonx.read_float) in
+          let stamps = field r "stamps" (r_array ~hint:window Jsonx.read_int) in
+          let total = field r "total" Jsonx.read_float in
+          Hashtbl.replace p.link_rates q (Rate.restore ~window ~buckets ~stamps ~total)))
+
+let r_peer swarm size i r =
+  let p = Swarm.peer swarm i in
+  Jsonx.read_obj r (fun () ->
+      let slot name q = check_range name ~lo:0 ~hi:size q in
+      p.unchoked <- field r "unchoked" (r_list Jsonx.read_int);
+      List.iter (slot "unchoked peer") p.unchoked;
+      p.optimistic <-
+        (match field r "optimistic" Jsonx.read_int with
         | -1 -> None
-        | q -> Some q);
-      p.Peer.uploaded <- Jsonx.get_float (req what "uploaded" po);
-      p.Peer.downloaded <- Jsonx.get_float (req what "downloaded" po);
-      p.Peer.uploaded_tft <- Jsonx.get_float (req what "uploaded_tft" po);
-      p.Peer.downloaded_tft <- Jsonx.get_float (req what "downloaded_tft" po);
-      Hashtbl.reset p.Peer.link_rates;
-      List.iter
-        (fun rj ->
-          let ro = Jsonx.get_obj rj in
-          Hashtbl.replace p.Peer.link_rates
-            (Jsonx.get_int (req what "from" ro))
-            (Rate.restore
-               ~window:(Jsonx.get_int (req what "window" ro))
-               ~buckets:(float_array what (req what "buckets" ro))
-               ~stamps:(int_array what (req what "stamps" ro))
-               ~total:(Jsonx.get_float (req what "total" ro))))
-        (Jsonx.get_list (req what "rates" po));
-      match req what "pieces" po with
-      | Jsonx.Null -> ()
-      | pcj ->
-          Swarm.set_held_pieces swarm i
-            (List.map Jsonx.get_int (Jsonx.get_list pcj)))
-    peers_j;
-  Swarm.clear_link_progress swarm;
-  List.iter
-    (fun ej ->
-      match Jsonx.get_list ej with
-      | [ s; r; v ] ->
-          Swarm.set_link_progress swarm ~sender:(Jsonx.get_int s)
-            ~receiver:(Jsonx.get_int r) (Jsonx.get_float v)
-      | _ -> parse_fail "%s: progress entry must be [sender, receiver, v]" what)
-    (Jsonx.get_list (req what "progress" obj));
-  let slot_of = Hashtbl.create 64 in
-  let member_count = ref 0 in
-  Array.iteri
-    (fun slot pid ->
-      if pid >= 0 then begin
-        Hashtbl.replace slot_of pid slot;
-        incr member_count
-      end)
-    members;
-  {
-    sspec = sw;
-    swarm;
-    faults;
-    created_rng;
-    members;
-    slot_of;
-    member_count = !member_count;
-  }
+        | q ->
+            slot "optimistic peer" q;
+            Some q);
+      p.uploaded <- field r "uploaded" Jsonx.read_float;
+      p.downloaded <- field r "downloaded" Jsonx.read_float;
+      p.uploaded_tft <- field r "uploaded_tft" Jsonx.read_float;
+      p.downloaded_tft <- field r "downloaded_tft" Jsonx.read_float;
+      Jsonx.read_field r "pieces";
+      if not (Jsonx.read_null r) then Swarm.set_held_pieces swarm i (r_list Jsonx.read_int r);
+      field r "rates" (r_rates size p))
 
-let restore j =
-  let what = "Serve.restore" in
-  let top = Jsonx.get_obj j in
-  (match Jsonx.get_int (req what "schema_version" top) with
-  | 1 -> ()
-  | v -> parse_fail "%s: unsupported schema_version %d" what v);
-  (match Jsonx.get_string (req what "kind" top) with
-  | "serve-snapshot" -> ()
-  | k -> parse_fail "%s: kind %S is not a serve snapshot" what k);
-  let scr = Request.of_json (req what "script" top) in
-  let w = scr.Request.world in
-  let now = Jsonx.get_float (req what "now" top) in
-  let tallies = Jsonx.get_obj (req what "tallies" top) in
-  let tally name = Jsonx.get_int (req (what ^ ".tallies") name tallies) in
-  let queue =
-    Jsonx.get_list (req what "queue" top)
-    |> List.map (fun e ->
-           match Jsonx.get_list e with
-           | [ time; code ] -> (Jsonx.get_float time, Jsonx.get_int code)
-           | _ -> parse_fail "%s: queue entry must be [time, code]" what)
-    |> Array.of_list
-  in
-  let oracle_j = Jsonx.get_obj (req what "oracle" top) in
-  let present =
-    Array.of_list
-      (List.map
-         (fun v -> Jsonx.get_int v <> 0)
-         (Jsonx.get_list (req what "present" oracle_j)))
-  in
-  let adjacency =
-    Array.of_list
-      (List.map
-         (fun row -> int_array (what ^ ".adjacency") row)
-         (Jsonx.get_list (req what "adjacency" oracle_j)))
-  in
-  let pairs name =
-    List.map
-      (fun pq ->
-        match Jsonx.get_list pq with
-        | [ a; b ] -> (Jsonx.get_int a, Jsonx.get_int b)
-        | _ -> parse_fail "%s: %s entry must be [p, q]" what name)
-      (Jsonx.get_list (req what name oracle_j))
-  in
-  let oracle =
-    Churn.restore_world ~n:w.Request.n ~b:w.Request.b ~present ~adjacency
-      ~config_pairs:(pairs "config") ~stable_pairs:(pairs "stable")
-  in
-  let swarm_js = Jsonx.get_list (req what "swarms" top) in
-  if List.length swarm_js <> List.length w.Request.swarms then
-    parse_fail "%s: snapshot has %d swarms, script declares %d" what
-      (List.length swarm_js)
-      (List.length w.Request.swarms);
-  let swarms = List.map2 (restore_swarm what) w.Request.swarms swarm_js in
-  let engine = Engine.restore_packed ~now queue in
+let r_swarm ~n (sw : Request.swarm_spec) r =
+  Jsonx.read_obj r (fun () ->
+      let sid = field r "sid" Jsonx.read_string in
+      if not (String.equal sid sw.sid) then
+        parse_fail "%s: swarm %S out of order (script declares %S here)" what sid sw.sid;
+      let created_rng = field r "created_rng" r_rng in
+      let rng = field r "rng" r_rng in
+      let tick = field r "tick" Jsonx.read_int in
+      let members = field r "members" (r_array Jsonx.read_int) in
+      if Array.length members <> sw.size then
+        parse_fail "%s: swarm %S has %d member slots, expected %d" what sid
+          (Array.length members) sw.size;
+      let seen = Hashtbl.create 64 in
+      Array.iter
+        (fun pid ->
+          check_range "member" ~lo:(-1) ~hi:n pid;
+          if pid >= 0 then begin
+            if Hashtbl.mem seen pid then bad "swarm %S seats peer %d twice" sid pid;
+            Hashtbl.add seen pid ()
+          end)
+        members;
+      let faults = field r "faults" (r_faults sw.size) in
+      (* replay create from the captured pre-create RNG state: regenerates
+         the knowledge graph and piece fields bit-for-bit *)
+      let swarm = Swarm.create (Rng.of_state created_rng) (swarm_params sw ~faults) in
+      Rng.set_state (Swarm.rng swarm) rng;
+      Swarm.set_tick swarm tick;
+      let peers = ref 0 in
+      field r "peers"
+        (fun r ->
+          Jsonx.read_list r (fun r ->
+              if !peers >= sw.size then
+                parse_fail "%s: swarm %S has more than %d peer records" what sid sw.size;
+              r_peer swarm sw.size !peers r;
+              incr peers));
+      if !peers <> sw.size then
+        parse_fail "%s: swarm %S has %d peer records, expected %d" what sid !peers sw.size;
+      Swarm.clear_link_progress swarm;
+      field r "progress"
+        (fun r ->
+          Jsonx.read_list r (fun r ->
+              let s = ref 0 and q = ref 0 and v = ref 0. in
+              r_tuple "progress" 3
+                (fun r i ->
+                  if i = 2 then v := Jsonx.read_float r
+                  else (if i = 0 then s else q) := Jsonx.read_int r)
+                r;
+              check_range "progress sender" ~lo:0 ~hi:sw.size !s;
+              check_range "progress receiver" ~lo:0 ~hi:sw.size !q;
+              Swarm.set_link_progress swarm ~sender:!s ~receiver:!q !v));
+      new_swarm_state sw swarm ~faults ~created_rng members)
+
+let r_oracle (w : Request.world_spec) r =
+  Jsonx.read_obj r (fun () ->
+      let present = field r "present" (r_array (fun r -> Jsonx.read_int r <> 0)) in
+      let adjacency = field r "adjacency" (r_array (r_array Jsonx.read_int)) in
+      let config_pairs = field r "config" (r_list (r_pair "config")) in
+      let stable_pairs = field r "stable" (r_list (r_pair "stable")) in
+      Churn.restore_world ~n:w.n ~b:w.b ~present ~adjacency ~config_pairs ~stable_pairs)
+
+let valid_code (scr : Request.script) code =
+  code = tick_code
+  || Net.Packed.kind code = kind_request
+     && Net.Packed.src code < Array.length scr.requests
+     && code = request_code (Net.Packed.src code)
+
+let restore_string s =
+  let r = Jsonx.reader s in
   let t =
-    {
-      scr;
-      engine;
-      oracle;
-      er_p = er_p w;
-      req_rng = Rng.of_state (rng_state_of_json what (req what "req_rng" top));
-      churn_rng =
-        Rng.of_state (rng_state_of_json what (req what "churn_rng" top));
-      swarms;
-      present_count =
-        Array.fold_left (fun a b -> if b then a + 1 else a) 0 present;
-      ticks = Jsonx.get_int (req what "ticks" top);
-      announces = tally "announces";
-      joins = tally "joins";
-      leaves = tally "leaves";
-      scrapes = tally "scrapes";
-      stats_reqs = tally "stats";
-      reconnects = tally "reconnects";
-      arrivals = tally "arrivals";
-      departures = tally "departures";
-      checksum = Jsonx.get_int (req what "checksum" top);
-      requests_handled = tally "requests_handled";
-      measure_latency = false;
-    }
+    Jsonx.read_obj r (fun () ->
+        (match field r "schema_version" Jsonx.read_int with
+        | 1 -> ()
+        | v -> parse_fail "%s: unsupported schema_version %d" what v);
+        (match field r "kind" Jsonx.read_string with
+        | "serve-snapshot" -> ()
+        | k -> parse_fail "%s: kind %S is not a serve snapshot" what k);
+        let scr = Request.of_json (field r "script" Jsonx.read_value) in
+        let w = scr.Request.world in
+        let now = field r "now" Jsonx.read_float in
+        let ticks = field r "ticks" Jsonx.read_int in
+        let ( announces, joins, leaves, scrapes, stats_reqs, reconnects, arrivals, departures,
+              handled ) =
+          field r "tallies" (fun r ->
+              Jsonx.read_obj r (fun () ->
+                  let tally k = field r k Jsonx.read_int in
+                  let announces = tally "announces" in
+                  let joins = tally "joins" in
+                  let leaves = tally "leaves" in
+                  let scrapes = tally "scrapes" in
+                  let stats = tally "stats" in
+                  let reconnects = tally "reconnects" in
+                  let arrivals = tally "arrivals" in
+                  let departures = tally "departures" in
+                  let handled = tally "requests_handled" in
+                  ( announces, joins, leaves, scrapes, stats, reconnects, arrivals, departures,
+                    handled )))
+        in
+        let checksum = field r "checksum" Jsonx.read_int in
+        let req_rng = Rng.of_state (field r "req_rng" r_rng) in
+        let churn_rng = Rng.of_state (field r "churn_rng" r_rng) in
+        let queue =
+          field r "queue"
+            (r_array (fun r ->
+                 let time = ref 0. and code = ref 0 in
+                 r_tuple "queue" 2
+                   (fun r i ->
+                     if i = 0 then time := Jsonx.read_float r else code := Jsonx.read_int r)
+                   r;
+                 if not (valid_code scr !code) then
+                   bad "queue holds an unknown event code %d" !code;
+                 (!time, !code)))
+        in
+        let engine = Engine.restore_packed ~now queue in
+        let oracle = field r "oracle" (r_oracle w) in
+        let specs = Array.of_list w.swarms in
+        let swarms = ref [] in
+        field r "swarms"
+          (fun r ->
+            Jsonx.read_list r (fun r ->
+                let i = List.length !swarms in
+                if i >= Array.length specs then
+                  parse_fail "%s: snapshot has more than the %d swarms the script declares" what
+                    (Array.length specs);
+                swarms := r_swarm ~n:w.n specs.(i) r :: !swarms));
+        if List.length !swarms <> Array.length specs then
+          parse_fail "%s: snapshot has %d swarms, script declares %d" what (List.length !swarms)
+            (Array.length specs);
+        {
+          scr;
+          engine;
+          oracle;
+          er_p = er_p w;
+          req_rng;
+          churn_rng;
+          swarms = List.rev !swarms;
+          present_count =
+            Array.fold_left (fun a b -> if b then a + 1 else a) 0 (Churn.world_present oracle);
+          ticks;
+          announces;
+          joins;
+          leaves;
+          scrapes;
+          stats_reqs;
+          reconnects;
+          arrivals;
+          departures;
+          checksum;
+          requests_handled = handled;
+          measure_latency = false;
+          resp = Buffer.create 256;
+        })
   in
+  Jsonx.read_end r;
   install_handler t;
   t
-
-let restore_string s = restore (Jsonx.of_string s)

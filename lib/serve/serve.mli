@@ -19,12 +19,14 @@
     Every run is a pure function of its {!Request.script}: all
     randomness flows from the script seed through named substreams, the
     engine pops in the total (time, seq) order, and
-    responses fold into a checksum.  {!snapshot} serializes the {e
-    complete} world — RNG streams, DES queue contents, matching config,
-    swarm piece/rate state, net fault state — such that
-    {!restore}d service replays bit-for-bit: stopping at tick [T] and
-    resuming produces the same {!manifest} as the uninterrupted run
-    (the snapshot stores the pending events in pop order).  DESIGN.md
+    responses fold into a checksum.  {!snapshot_string} serializes the
+    {e complete} world — RNG streams, DES queue contents, matching
+    config, swarm piece/rate state, net fault state — such that the
+    {!restore_string}d service replays bit-for-bit: stopping at tick [T]
+    and resuming produces the same {!manifest} as the uninterrupted run
+    (the snapshot stores the pending events in pop order).  The codec
+    writes and reads the JSON directly, without building a tree, and
+    rebuilds the oracle from its validated sorted rows.  DESIGN.md
     §15 gives the argument. *)
 
 type t
@@ -77,17 +79,19 @@ val manifest : ?git:string -> t -> Stratify_obs.Run_manifest.t
     fault-drop / upload aggregates, and oracle occupancy.  Byte-identical
     across runs and stop/resume boundaries. *)
 
-val snapshot : t -> Stratify_obs.Jsonx.t
-(** Serialize the complete world state. *)
-
 val snapshot_string : t -> string
-
-val restore : Stratify_obs.Jsonx.t -> t
-(** Rebuild a world from {!snapshot} output.  Raises
-    [Jsonx.Parse_error] on shape errors and named [Invalid_argument] on
-    semantic ones. *)
+(** Serialize the complete world state as one compact JSON document,
+    written straight into a buffer (no intermediate tree).  The bytes
+    are a pure function of the world and are pinned by a format test. *)
 
 val restore_string : string -> t
+(** Rebuild a world from {!snapshot_string} output with a pull reader
+    that fills the world's arrays directly; members must come in the
+    order the writer emits them.  Raises [Jsonx.Parse_error] on shape
+    errors (bad JSON, a missing or misplaced member, wrong swarm or
+    peer-record counts) and a named [Invalid_argument] on semantic ones
+    (out-of-range ids, an asymmetric or unsorted oracle row, an unknown
+    event code, ...). *)
 
 (** {2 Obs wiring} — the live metrics feed: ["serve.announces"],
     ["serve.joins"], ["serve.leaves"], ["serve.scrapes"],

@@ -168,6 +168,114 @@ let test_json_roundtrip () =
         (match of_string bad with exception Parse_error _ -> true | _ -> false))
     [ ""; "{"; "[1,]"; "{\"a\" 1}"; "12 34"; "nul" ]
 
+
+(* Edge cases of the printer's and parser's fast paths.  Every expected
+   value is a literal the general Printf / int_of_string /
+   float_of_string path produced before the fast paths existed. *)
+let test_json_fast_paths () =
+  let open Stratify_obs.Jsonx in
+  let compact v = to_string ~indent:false v in
+  List.iter
+    (fun (f, expected) ->
+      Alcotest.(check string) (Printf.sprintf "print %h" f) expected (compact (Float f)))
+    [
+      (0.0, "0.0");
+      (-0.0, "-0.0");
+      (1e15, "1000000000000000.0");
+      (-1e15, "-1000000000000000.0");
+      (9999999999999998.0, "9999999999999998.0");
+      (1e16, "1e+16");
+      (5e-324, "4.94065645841247e-324");
+      (0x0.ffffffffffffdp-1022, "2.2250738585072e-308");
+      (0.05, "0.05");
+      (-2.0, "-2.0");
+    ];
+  List.iter
+    (fun (i, expected) ->
+      Alcotest.(check string) (Printf.sprintf "print %d" i) expected (compact (Int i)))
+    [
+      (max_int, "4611686018427387903");
+      (min_int, "-4611686018427387904");
+      (123456789012345678, "123456789012345678");
+      (-123456789012345678, "-123456789012345678");
+      (0, "0");
+    ];
+  Alcotest.(check string) "print unescaped" {|"plain"|} (compact (String "plain"));
+  Alcotest.(check string) "print escaped" "\"a\\\"b\\\\c\\nd\\te\\u0001f\127g\""
+    (compact (String "a\"b\\c\nd\te\001f\127g"));
+  let parses = [
+      ("01", Int 1);
+      ("-0", Int 0);
+      ("1e5", Float 100000.);
+      ("0.0", Float 0.0);
+      ("-0.0", Float (-0.0));
+      ("123456789012345678", Int 123456789012345678);
+      ("1234567890123456789", Int 1234567890123456789);
+      ("4611686018427387903", Int max_int);
+      ("-4611686018427387904", Int min_int);
+      ("4611686018427387904", Float 0x1p+62);
+      ("12345678901234567890", Float 0x1.56a95319d63e1p+63);
+      ("-12345678901234567890", Float (-0x1.56a95319d63e1p+63));
+      ("9999999999999998.0", Float 9999999999999998.0);
+      ("1e16", Float 1e16);
+      ("5e-324", Float 0x0.0000000000001p-1022);
+      ("0.30000000000000004", Float 0x1.3333333333334p-2);
+      ("00.5", Float 0.5);
+      ("+5", Int 5);
+      ({|"plain"|}, String "plain");
+      ({|"a\"b\\c\nd\u00e9\/"|}, String "a\"b\\c\nd\xc3\xa9/");
+    ]
+  in
+  (* [=] would equate 0.0 and -0.0: compare floats by their bits *)
+  let same a b =
+    match (a, b) with
+    | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | a, b -> a = b
+  in
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "parse %s" src) true (same (of_string src) expected);
+      (* the pull reader agrees with the tree reader token for token *)
+      let r = reader src in
+      let pulled =
+        match expected with
+        | Int _ -> Int (read_int r)
+        | Float _ -> Float (read_float r)
+        | String _ -> String (read_string r)
+        | v -> v
+      in
+      read_end r;
+      Alcotest.(check bool) (Printf.sprintf "read %s" src) true (same pulled expected))
+    parses;
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (Printf.sprintf "parse error on %S" bad) true
+        (match of_string bad with exception Parse_error _ -> true | _ -> false))
+    [ "1-2"; "-"; "1.5.2"; {|"open|} ];
+  (* an int reader refuses what the tree holds as a float, as get_int does *)
+  List.iter
+    (fun src ->
+      Alcotest.(check bool) (Printf.sprintf "read_int refuses %s" src) true
+        (match read_int (reader src) with exception Parse_error _ -> true | _ -> false))
+    [ "1e5"; "1.0"; "12345678901234567890"; "null"; {|"1"|} ]
+
+(* The short-decimal fast path rounds exactly like float_of_string. *)
+let decimal_law (neg, int_part, frac_part, frac_digits) =
+  let s =
+    Printf.sprintf "%s%d.%0*d" (if neg then "-" else "") int_part frac_digits
+      (frac_part mod int_of_float (10. ** float_of_int frac_digits))
+  in
+  match Stratify_obs.Jsonx.of_string s with
+  | Stratify_obs.Jsonx.Float f ->
+      Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float (float_of_string s))
+  | _ -> false
+
+let decimal_arb =
+  QCheck.make
+    ~print:(fun (n, i, f, k) -> Printf.sprintf "neg=%b int=%d frac=%d digits=%d" n i f k)
+    QCheck.Gen.(quad bool (int_bound 99_999_999) (int_bound 9_999_999) (int_range 1 7))
+
 let test_manifest_roundtrip () =
   let m =
     {
@@ -238,6 +346,11 @@ let suite =
       test_histogram_buckets_exact;
     Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
     Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
+    Alcotest.test_case "JSON fast paths match the general path" `Quick test_json_fast_paths;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 0xdec |])
+      (QCheck.Test.make ~count:2000 ~name:"JSON short decimals round like float_of_string"
+         decimal_arb decimal_law);
     Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "capture snapshots live probes" `Quick test_capture_snapshots_probes;
   ]

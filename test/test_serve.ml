@@ -225,8 +225,168 @@ let test_net_errors () =
   (* pre-validation: nothing may have been enqueued by the failed call *)
   Alcotest.(check int) "no partial schedule" 0 (Engine.pending (Net.engine net))
 
+
+(* ---- snapshot format pin and hostile snapshots ---------------------- *)
+
+(* The t=17 snapshot of the checked-in tracker script.  Its MD5 pins the
+   snapshot bytes: a codec change that alters a single byte fails here.
+   The digest is of the file [stratify_serve --stop-at 17 --snapshot]
+   writes (the string plus one newline), the same bytes the serve-suite
+   CI job checks with md5sum. *)
+let tracker_snapshot =
+  lazy
+    (let t = Serve.create (Request.load "../results/serve/tracker-mixed.serve") in
+     Serve.run_to t 17.;
+     Serve.snapshot_string t)
+
+let test_snapshot_pin () =
+  let snap = Lazy.force tracker_snapshot in
+  Alcotest.(check int) "snapshot bytes" 180_009 (String.length snap);
+  Alcotest.(check string) "snapshot file MD5" "1640f6451012210116ce457cae15fde3"
+    (Digest.to_hex (Digest.string (snap ^ "\n")));
+  Alcotest.(check string) "restore then snapshot is the identity" snap
+    (Serve.snapshot_string (Serve.restore_string snap))
+
+(* Rewrite one member of the snapshot's tree, then print it back: a
+   well-formed document carrying the bad value. *)
+let rec update path f (j : Jsonx.t) =
+  match (path, j) with
+  | [], _ -> f j
+  | key :: rest, Jsonx.Obj fields ->
+      Jsonx.Obj (List.map (fun (k, v) -> (k, if k = key then update rest f v else v)) fields)
+  | _ -> invalid_arg "update: no such member"
+
+let edit path f =
+  Jsonx.to_string ~indent:false (update path f (Jsonx.of_string (Lazy.force tracker_snapshot)))
+
+let ints l = Jsonx.List (List.map (fun x -> Jsonx.Int x) l)
+
+(* Rewrite the first adjacency row with at least two neighbours. *)
+let edit_row f =
+  edit [ "oracle"; "adjacency" ] (fun rows ->
+      let seen = ref false in
+      Jsonx.List
+        (List.mapi
+           (fun p row ->
+             match List.map Jsonx.get_int (Jsonx.get_list row) with
+             | _ :: _ :: _ as l when not !seen ->
+                 seen := true;
+                 ints (f p l)
+             | _ -> row)
+           (Jsonx.get_list rows)))
+
+let drop_first = function _ :: rest -> rest | [] -> []
+
+(* Rewrite the members of the first swarm. *)
+let edit_members f =
+  edit [ "swarms" ] (fun l ->
+      match Jsonx.get_list l with
+      | first :: rest ->
+          Jsonx.List
+            (update [ "members" ]
+               (fun m -> ints (f (List.map Jsonx.get_int (Jsonx.get_list m))))
+               first
+            :: rest)
+      | [] -> l)
+
+(* Replace the first element satisfying [p] by [f] of it. *)
+let replace_first p f l =
+  let seen = ref false in
+  List.map
+    (fun x ->
+      if (not !seen) && p x then begin
+        seen := true;
+        f x
+      end
+      else x)
+    l
+
+(* (name, document, the error it must raise: a fragment of its message) *)
+let bad_snapshots =
+  lazy
+    [
+      ("asymmetric row", edit_row (fun _ l -> drop_first l), "does not list");
+      ("unsorted row", edit_row (fun _ l -> List.rev l), "not strictly increasing");
+      ("self-loop", edit_row (fun p l -> p :: drop_first l |> List.sort compare), "self-loop");
+      ("out-of-range neighbour", edit_row (fun _ l -> l @ [ 120 ]), "outside [0, 120)");
+      ( "missing swarm",
+        edit [ "swarms" ] (fun l -> Jsonx.List [ List.hd (Jsonx.get_list l) ]),
+        "snapshot has 1 swarms, script declares 2" );
+      ( "missing peer record",
+        edit [ "swarms" ] (fun l ->
+            Jsonx.List
+              (List.map
+                 (update [ "peers" ] (fun peers ->
+                      Jsonx.List (drop_first (Jsonx.get_list peers))))
+                 (Jsonx.get_list l))),
+        "peer records" );
+      ( "member outside the population",
+        edit_members (replace_first (fun m -> m >= 0) (fun _ -> 120)),
+        "member 120 outside [-1, 120)" );
+      ( "member seated twice",
+        edit_members (fun l ->
+            let dup = List.find (fun m -> m >= 0) l in
+            replace_first (fun m -> m < 0) (fun _ -> dup) l),
+        "twice" );
+      ( "unknown event code",
+        edit [ "queue" ] (fun l ->
+            Jsonx.List (ints [ 18; 2 ] :: drop_first (Jsonx.get_list l))),
+        "unknown event code 2" );
+      ( "short present mask",
+        edit [ "oracle"; "present" ] (fun l -> Jsonx.List (drop_first (Jsonx.get_list l))),
+        "|present|" );
+    ]
+
+(* A truncated, byte-mutated or hand-built bad snapshot is either
+   rejected or restored into a world that runs to its horizon.  Only
+   Jsonx.Parse_error or an Invalid_argument naming its origin
+   ("Module.fn: ...") may escape; "index out of bounds" and friends are
+   crashes. *)
+let named msg = match String.index_opt msg ':' with Some i -> i > 0 | None -> false
+
+let hostile =
+  QCheck.make
+    ~print:(fun (kind, a, b) -> Printf.sprintf "kind=%d a=%d b=%d" kind a b)
+    QCheck.Gen.(triple (int_bound 2) (int_bound 1_000_000) (int_bound 255))
+
+let hostile_law (kind, a, b) =
+  let snap = Lazy.force tracker_snapshot in
+  let len = String.length snap in
+  let input, must_fail =
+    match kind with
+    | 0 -> (String.sub snap 0 (a mod len), None)
+    | 1 -> (String.mapi (fun i c -> if i = a mod len then Char.chr b else c) snap, None)
+    | _ ->
+        let cases = Lazy.force bad_snapshots in
+        let _, doc, fragment = List.nth cases (a mod List.length cases) in
+        (doc, Some fragment)
+  in
+  let t0 = Unix.gettimeofday () in
+  let outcome =
+    match Serve.run_script (Serve.restore_string input) with
+    | _ -> None
+    | exception Jsonx.Parse_error msg -> Some msg
+    | exception Invalid_argument msg ->
+        if not (named msg) then QCheck.Test.fail_reportf "unnamed Invalid_argument %S" msg;
+        Some msg
+    | exception e -> QCheck.Test.fail_reportf "uncaught %s" (Printexc.to_string e)
+  in
+  if Unix.gettimeofday () -. t0 > 10. then
+    QCheck.Test.fail_report "restore and run took over 10 s";
+  (match (must_fail, outcome) with
+  | Some fragment, None -> QCheck.Test.fail_reportf "accepted (want %S)" fragment
+  | Some fragment, Some msg when not (Helpers.contains msg fragment) ->
+      QCheck.Test.fail_reportf "error %S lacks %S" msg fragment
+  | _ -> ());
+  true
+
 let suite =
   [
+    Alcotest.test_case "serve: t=17 snapshot bytes pinned (MD5)" `Quick test_snapshot_pin;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 0x5a9 |])
+      (QCheck.Test.make ~count:300 ~name:"serve: hostile snapshots raise named errors" hostile
+         hostile_law);
     Helpers.qtest ~count:36 "serve: stop/resume == uninterrupted (random cut)"
       seed_and_cut stop_resume_law;
     Helpers.qtest ~count:60 "serve: script JSON round-trips" seed_and_cut
