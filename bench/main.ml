@@ -1,378 +1,76 @@
-(* Benchmark harness.
+(* Benchmark harness: ten parts, each a gated measurement of one layer.
 
-   Part 1 regenerates every table and figure of the paper (the reproduction
-   harness - same reports as `stratify_experiments all`).  Part 2 times the
-   computational kernel behind each table/figure with Bechamel, one
-   Test.make per experiment.  Part 3 measures the multicore replication
-   engine (replicas/sec vs --jobs, written to BENCH_parallel.json) and the
-   incremental stability-detection fix.  Part 4 measures the
-   implicit-backend / flat-config matching core against a faithful replica
-   of the pre-rewrite representation (BENCH_core.json).  Part 5 races the
-   two convergence schedulers — the paper's uniform random polling vs the
-   worklist of active candidates — to the same stable configuration
-   (BENCH_sched.json).
+     parallel   multicore replication engine (replicas/sec vs --jobs)
+     core       implicit-backend / flat-config matching core vs a
+                replica of the pre-rewrite representation
+     profile    per-phase profile + the zero-alloc steady-state gate
+     sched      convergence schedulers: random polling vs the worklist
+     net        fault-free Net.send overhead + a faulty delivery trace
+     shard      rank-banded sharded matching at n = 10^6
+     matrix     scenario-matrix expansion and cell execution
+     des        event engine: packed cascade, swarm-md, async
+     serve      tracker replay equality + the announce hot path
+     stability  naive vs incremental stability detection
+
+   Each part asserts its own invariants in process (failwith) and returns
+   a run manifest.  The harness writes every manifest into one bench set
+   (Run_manifest.write_set), keyed by part in run order;
+   `manifest_check bench BENCH.json BENCH_candidate.json` compares it
+   section by section against the checked-in baseline.
 
    Environment knobs:
-     BENCH_SCALE=0.2     shrink the regeneration workloads (default 1.0)
-     BENCH_JOBS=4        worker domains for the regeneration pass
-                         (default: recommended domain count)
-     BENCH_SKIP_REGEN=1  run only the micro-benchmarks
-     BENCH_OUT=path      where to write the parallel-scaling run
-                         manifest (default BENCH_parallel.json — the
-                         checked-in baseline the bench-regression CI job
-                         compares against)
-     BENCH_CORE_OUT=path where to write the matching-core run manifest
-                         (default BENCH_core.json — also a checked-in
-                         baseline)
-     BENCH_PROFILE_OUT=path where to write the per-phase-profile run
-                         manifest (default BENCH_profile.json — also a
-                         checked-in baseline; the bench hard-fails if the
-                         steady-state sweep or the worklist repair
-                         allocates on the minor heap, and the manifest's
-                         profile section carries per-kernel wall/GC rows)
-     BENCH_SCHED_OUT=path where to write the scheduler-race run manifest
-                         (default BENCH_sched.json — also a checked-in
-                         baseline)
-     BENCH_NET_OUT=path  where to write the network-dispatch run manifest
-                         (default BENCH_net.json — also a checked-in
-                         baseline; the bench itself fails if fault-free
-                         Net.send exceeds 1.15x the direct dispatch)
-     BENCH_SHARD_OUT=path where to write the sharded-matching run manifest
-                         (default BENCH_shard.json — also a checked-in
-                         baseline; the bench asserts band-count
-                         invariance in-process and, when enough cores
-                         exist, the parallel speedup at 8 bands)
-     BENCH_MATRIX_OUT=path where to write the scenario-matrix run manifest
-                         (default BENCH_matrix.json — also a checked-in
-                         baseline; checksums pin the generated cell list
-                         and the metrics of the async-dense slice)
-     BENCH_DES_OUT=path  where to write the event-engine run manifest
-                         (default BENCH_des.json — also a checked-in
-                         baseline; times a packed-event cascade, the
-                         message-level swarm (swarm-md) and the async
-                         dynamics under loss, and pins each one's
-                         delivery checksum.  The bench hard-fails if
-                         the cascade allocates on the minor heap in
-                         steady state).
-     BENCH_SERVE_OUT=path where to write the service-layer run manifest
-                         (default BENCH_serve.json — also a checked-in
-                         baseline; replays a mixed tracker script twice,
-                         stop/resumes it, and times the announce hot
-                         path.  The bench hard-fails if the two replays'
-                         response checksums or serve manifests differ,
-                         or if a snapshot/restore run diverges from the
-                         uninterrupted one). *)
-
-open Bechamel
+     BENCH_ONLY=part  run one part (the set then has one section)
+     BENCH_OUT=path   where to write the set (default BENCH_candidate.json;
+                      a baseline is promoted with BENCH_OUT=BENCH.json
+                      over a full run) *)
 
 module Rng = Stratify_prng.Rng
 module Gen = Stratify_graph.Gen
-module Profile = Stratify_bandwidth.Profile
-module Saroiu = Stratify_bandwidth.Saroiu
 module Bt = Stratify_bittorrent
-module E = Stratify_cli.Experiments
 module Exec = Stratify_exec.Exec
+module Obs = Stratify_obs
 open Stratify_core
 
-(* ------------------------------------------------------------------ *)
-(* Part 1: regenerate every table and figure                           *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
-let regenerate () =
-  let scale =
-    match Sys.getenv_opt "BENCH_SCALE" with
-    | Some s -> (try Float.min 1. (Float.max 0.01 (float_of_string s)) with _ -> 1.)
-    | None -> 1.
+(* A part's manifest: the checksums it declares (zero values included —
+   a zero can be the pinned value), any obs counter it left nonzero, its
+   metrics, and the spans, histograms and profile rows it recorded.  The
+   harness resets all of those before each part. *)
+let manifest ~name ?(jobs = 1) ~checksums metrics =
+  let m = Obs.Run_manifest.capture ~kind:"bench" ~name ~seed:42 ~scale:1.0 ~jobs ~metrics () in
+  let touched =
+    List.filter (fun (k, v) -> v <> 0 && not (List.mem_assoc k checksums)) m.counters
   in
-  let jobs =
-    match Sys.getenv_opt "BENCH_JOBS" with
-    | Some s -> ( try max 1 (int_of_string s) with _ -> Exec.default_jobs ())
-    | None -> Exec.default_jobs ()
-  in
-  let ctx =
-    {
-      E.seed = 42;
-      scale;
-      csv_dir = None;
-      jobs;
-      manifest_dir = None;
-      n_override = None;
-      scheduler = Scheduler.Random_poll;
-      bands = 1;
-      band_overlap = None;
-      profile_phases = false;
-    }
-  in
-  Printf.printf "Regenerating all tables and figures (scale %g, jobs %d)\n%!" scale jobs;
-  List.iter
-    (fun (_, _, f) ->
-      f ctx;
-      print_newline ())
-    E.all
+  { m with counters = List.sort compare (checksums @ touched) }
 
 (* ------------------------------------------------------------------ *)
-(* Part 2: one Bechamel kernel per table/figure                        *)
-
-let make_er_instance ~n ~d ~b seed =
-  let rng = Rng.create seed in
-  let graph = Gen.gnd rng ~n ~d in
-  Instance.create ~graph ~b:(Array.make n b) ()
-
-let bench_fig1 =
-  (* Kernel of Figs 1-3: one best-mate initiative step. *)
-  let inst = make_er_instance ~n:1000 ~d:10. ~b:1 1 in
-  let rng = Rng.create 2 in
-  let sim = Sim.create inst rng in
-  Test.make ~name:"fig1-3: initiative step (n=1000,d=10)"
-    (Staged.stage (fun () -> ignore (Sim.step sim)))
-
-let bench_stable_config =
-  (* Kernel of Fig 2's instant-stable recomputation. *)
-  let inst = make_er_instance ~n:1000 ~d:10. ~b:1 3 in
-  Test.make ~name:"fig2: Algorithm 1 (n=1000,d=10)"
-    (Staged.stage (fun () -> ignore (Greedy.stable_config inst)))
-
-let bench_disorder =
-  let inst = make_er_instance ~n:1000 ~d:10. ~b:1 4 in
-  let stable = Greedy.stable_config inst in
-  let empty = Config.empty inst in
-  Test.make ~name:"fig3: disorder metric (n=1000)"
-    (Staged.stage (fun () -> ignore (Disorder.distance empty stable)))
-
-let bench_complete =
-  (* Kernel of Fig 4/5 and Table 1: fast greedy on the complete graph. *)
-  let b = Normal_b.constant ~n:10_000 ~b0:6 in
-  Test.make ~name:"fig4-5/table1: complete-graph matching (n=10000,b0=6)"
-    (Staged.stage (fun () -> ignore (Greedy.stable_complete ~b)))
-
-let bench_phase =
-  (* Kernel of Fig 6: one sigma measurement. *)
-  let rng = Rng.create 5 in
-  Test.make ~name:"fig6: phase point (n=5000,b=6,sigma=0.2)"
-    (Staged.stage (fun () ->
-         ignore (Phase.measure rng ~n:5000 ~mean_b:6. ~sigma:0.2 ~replicates:1)))
-
-let bench_exact =
-  Test.make ~name:"fig7: exact enumeration (n=5,b0=2)"
-    (Staged.stage (fun () -> ignore (Exact_small.mate_matrix ~n:5 ~p:0.3 ~b0:2)))
-
-let bench_one_matching =
-  Test.make ~name:"fig8: Algorithm 2 sweep (n=2000)"
-    (Staged.stage (fun () -> One_matching.sweep ~n:2000 ~p:0.005 ~f:(fun _ _ _ -> ())))
-
-let bench_monte_carlo =
-  (* Kernel of Fig 9: one Monte-Carlo realization. *)
-  let rng = Rng.create 6 in
-  Test.make ~name:"fig9: one G(n,p) stable 2-matching (n=2000,p=1%)"
-    (Staged.stage (fun () ->
-         let adj = Gen.gnp_adjacency rng ~n:2000 ~p:0.01 in
-         let inst = Instance.of_adjacency ~adj ~b:(Array.make 2000 2) () in
-         ignore (Greedy.stable_config inst)))
-
-let bench_b_matching =
-  Test.make ~name:"fig9/11: Algorithm 3 sweep (n=1000,b0=3)"
-    (Staged.stage (fun () -> B_matching.sweep ~n:1000 ~p:0.02 ~b0:3 ~f:(fun _ _ _ _ -> ())))
-
-let bench_profile =
-  let rng = Rng.create 7 in
-  Test.make ~name:"fig10: bandwidth profile sampling (x1000)"
-    (Staged.stage (fun () ->
-         for _ = 1 to 1000 do
-           ignore (Profile.sample Saroiu.profile rng)
-         done))
-
-let bench_share_ratio =
-  Test.make ~name:"fig11: share-ratio model (n=500,b0=3,d=20)"
-    (Staged.stage (fun () ->
-         ignore
-           (Share_ratio.compute { Share_ratio.n = 500; b0 = 3; d = 20.; profile = Saroiu.profile })))
-
-let bench_slots =
-  Test.make ~name:"slots: rational-peer sweep (n=300)"
-    (Staged.stage (fun () ->
-         ignore
-           (Share_ratio.sweep_slots ~n:300 ~d:20. ~profile:Saroiu.profile ~my_upload:500.
-              ~slots:[| 1; 3 |] ())))
-
-let bench_swarm =
-  let rng = Rng.create 8 in
-  let uploads = Profile.rank_bandwidths Saroiu.profile ~n:300 in
-  let swarm = Bt.Swarm.create rng (Bt.Swarm.default_params ~uploads) in
-  Test.make ~name:"swarm: one simulator tick (n=300)"
-    (Staged.stage (fun () -> Bt.Swarm.step swarm))
-
-let bench_roommates =
-  let rng = Rng.create 9 in
-  let prefs =
-    Array.init 100 (fun p ->
-        let row = Array.init 100 (fun i -> i) in
-        Stratify_prng.Dist.shuffle rng row;
-        Array.of_list (List.filter (fun q -> q <> p) (Array.to_list row)))
-  in
-  let sys = Tan.of_lists prefs in
-  Test.make ~name:"substrate: Irving stable roommates (n=100)"
-    (Staged.stage (fun () -> ignore (Roommates.solve sys)))
-
-let bench_gale_shapley =
-  let rng = Rng.create 10 in
-  let mk () =
-    Array.init 200 (fun _ ->
-        let row = Array.init 200 (fun i -> i) in
-        Stratify_prng.Dist.shuffle rng row;
-        row)
-  in
-  let men = mk () and women = mk () in
-  Test.make ~name:"substrate: Gale-Shapley (n=200)"
-    (Staged.stage (fun () -> ignore (Gale_shapley.run ~proposer_prefs:men ~receiver_prefs:women)))
-
-let bench_symmetric =
-  let rng = Rng.create 11 in
-  let positions = Stratify_graph.Spatial.random_positions rng ~n:200 in
-  let u = Stratify_core.Utility.symmetric_distance (Stratify_graph.Spatial.distance positions) in
-  let acceptance = Stratify_graph.Undirected.adjacency_arrays (Gen.complete 200) in
-  let g = General_matching.create ~utility:u ~acceptance ~b:(Array.make 200 2) in
-  Test.make ~name:"latency: symmetric greedy matching (n=200, complete)"
-    (Staged.stage (fun () -> ignore (Symmetric_greedy.stable_state g ~utility:u)))
-
-let bench_gossip =
-  let rng = Rng.create 12 in
-  let g = Gossip.create rng ~n:500 ~view_size:10 in
-  Test.make ~name:"gossip: one round (n=500, view 10)"
-    (Staged.stage (fun () -> Gossip.round g))
-
-let bench_hospital_residents =
-  let rng = Rng.create 13 in
-  let n_res = 200 and n_hosp = 20 in
-  let resident_prefs =
-    Array.init n_res (fun _ ->
-        let row = Array.init n_hosp (fun h -> h) in
-        Stratify_prng.Dist.shuffle rng row;
-        row)
-  in
-  let hospital_prefs =
-    Array.init n_hosp (fun _ ->
-        let row = Array.init n_res (fun r -> r) in
-        Stratify_prng.Dist.shuffle rng row;
-        row)
-  in
-  let inst =
-    { Hospital_residents.resident_prefs; hospital_prefs; capacity = Array.make n_hosp 10 }
-  in
-  Test.make ~name:"substrate: hospitals/residents (200x20, cap 10)"
-    (Staged.stage (fun () -> ignore (Hospital_residents.solve inst)))
-
-let bench_piece_tick =
-  let rng = Rng.create 14 in
-  let uploads = Array.make 200 16. in
-  let params =
-    {
-      (Bt.Swarm.default_params ~uploads) with
-      Bt.Swarm.d = 15.;
-      piece = Some { Bt.Swarm.pieces = 400; piece_size = 8.; init_fraction = 0.5; seeds = 2 };
-    }
-  in
-  let swarm = Bt.Swarm.create rng params in
-  Test.make ~name:"flashcrowd: piece-mode swarm tick (n=200, 400 pieces)"
-    (Staged.stage (fun () -> Bt.Swarm.step swarm))
-
-let bench_streaming =
-  let rng = Rng.create 15 in
-  let b = Normal_b.rounded_normal rng ~n:2000 ~mean:8. ~sigma:0.5 in
-  let adjacency = Cluster.collaboration_graph ~b () in
-  Test.make ~name:"streaming: delay measurement (n=2000)"
-    (Staged.stage (fun () -> ignore (Streaming.measure ~adjacency ~sources:[ 0 ])))
-
-let bench_edonkey =
-  let rng = Rng.create 16 in
-  let uploads = Profile.rank_bandwidths Saroiu.profile ~n:200 in
-  let sim = Stratify_edonkey.Queue_sim.create rng (Stratify_edonkey.Queue_sim.default_params ~uploads) in
-  Test.make ~name:"edonkey: one credit-queue tick (n=200)"
-    (Staged.stage (fun () -> Stratify_edonkey.Queue_sim.step sim))
-
-let bench_async =
-  let rng = Rng.create 17 in
-  let graph = Gen.gnd rng ~n:300 ~d:10. in
-  let inst = Instance.create ~graph ~b:(Array.make 300 1) () in
-  let a = Async_dynamics.create inst rng { Async_dynamics.latency = 0.1; initiative_rate = 1.; loss = 0. } in
-  Test.make ~name:"async: 1 time unit of the message protocol (n=300)"
-    (Staged.stage (fun () -> Async_dynamics.run a ~horizon:1.))
-
-let tests =
-  [
-    bench_fig1;
-    bench_stable_config;
-    bench_disorder;
-    bench_complete;
-    bench_phase;
-    bench_exact;
-    bench_one_matching;
-    bench_monte_carlo;
-    bench_b_matching;
-    bench_profile;
-    bench_share_ratio;
-    bench_slots;
-    bench_swarm;
-    bench_roommates;
-    bench_gale_shapley;
-    bench_symmetric;
-    bench_gossip;
-    bench_hospital_residents;
-    bench_piece_tick;
-    bench_streaming;
-    bench_edonkey;
-    bench_async;
-  ]
-
-let run_benchmarks () =
-  print_endline "\n================ Bechamel micro-benchmarks ================";
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analysis = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] ->
-              if ns > 1e6 then Printf.printf "  %-55s %10.3f ms/run\n%!" name (ns /. 1e6)
-              else Printf.printf "  %-55s %10.1f ns/run\n%!" name ns
-          | _ -> Printf.printf "  %-55s (no estimate)\n%!" name)
-        analysis)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Part 3: multicore engine scaling + stability-detection fix          *)
+(* parallel: multicore replication engine scaling                      *)
 
 let bench_parallel_scaling () =
   print_endline "\n================ Parallel replication scaling ================";
   (* Fig 9's Monte-Carlo kernel: one G(n,p) instance solved to stability.
-     The whole section runs with the stratify.obs probes on and is
-     published as a run manifest — the same schema the experiments emit
-     under --manifest — so CI can track the perf trajectory and pin the
-     kernel checksum without parsing free-form text. *)
-  let module Obs = Stratify_obs in
+     The whole part runs with the stratify.obs probes on, so its manifest
+     also carries the exec/greedy counters and per-job-count spans. *)
   let n = 500 and p = 0.02 and replicas = 24 in
   let kernel rng _i =
     let adj = Gen.gnp_adjacency rng ~n ~p in
     let inst = Instance.of_adjacency ~adj ~b:(Array.make n 2) () in
     Config.edge_count (Greedy.stable_config inst)
   in
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
   Obs.Control.set_enabled true;
   let time_once jobs =
     let rng = Rng.create 42 in
-    let t0 = Unix.gettimeofday () in
-    let results =
-      Obs.Span.with_
-        (Printf.sprintf "bench.jobs_%d" jobs)
-        (fun () -> Exec.map_replicas ~jobs ~rng ~replicas kernel)
+    let results, dt =
+      time (fun () ->
+          Obs.Span.with_
+            (Printf.sprintf "bench.jobs_%d" jobs)
+            (fun () -> Exec.map_replicas ~jobs ~rng ~replicas kernel))
     in
-    let dt = Unix.gettimeofday () -. t0 in
-    let checksum = Array.fold_left ( + ) 0 results in
-    (float_of_int replicas /. dt, checksum)
+    (float_of_int replicas /. dt, Array.fold_left ( + ) 0 results)
   in
   let job_counts = [ 1; 2; 4; 8 ] in
   (* Warm up the allocator/code paths once so jobs=1 is not penalised. *)
@@ -385,6 +83,7 @@ let bench_parallel_scaling () =
         (jobs, rate, checksum))
       job_counts
   in
+  Obs.Control.set_enabled false;
   (* All job counts must agree bit-for-bit on the results. *)
   let checksum =
     match rows with
@@ -396,21 +95,13 @@ let bench_parallel_scaling () =
         c0
     | [] -> 0
   in
-  Obs.Counter.add (Obs.Counter.make "bench.checksum") checksum;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_parallel" ~seed:42 ~scale:1.0
-      ~jobs:(List.fold_left max 1 job_counts)
-      ~metrics:
-        ([ ("n", float_of_int n); ("p", p); ("replicas", float_of_int replicas) ]
-        @ List.map (fun (j, r, _) -> (Printf.sprintf "replicas_per_sec/%d" j, r)) rows)
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_OUT" with Some p when p <> "" -> p | _ -> "BENCH_parallel.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  manifest ~name:"bench_parallel" ~jobs:(List.fold_left max 1 job_counts)
+    ~checksums:[ ("bench.checksum", checksum) ]
+    ([ ("n", float_of_int n); ("p", p); ("replicas", float_of_int replicas) ]
+    @ List.map (fun (j, r, _) -> (Printf.sprintf "replicas_per_sec/%d" j, r)) rows)
+
+(* ------------------------------------------------------------------ *)
+(* stability: the incremental stability-detection fix                  *)
 
 let bench_stability_detection () =
   print_endline "\n================ Stability-detection fix ================";
@@ -418,13 +109,9 @@ let bench_stability_detection () =
      [run_until_stable] used to do.  Same seed, same check-before-step
      order, so both take the identical number of steps.  A third run with
      {e no} check at all isolates the detection overhead from the common
-     stepping cost, which otherwise Amdahl-bounds the end-to-end ratio. *)
+     stepping cost, which otherwise Amdahl-bounds the end-to-end ratio.
+     The step total is pinned; the timings are reported, not gated. *)
   let n = 1000 and d = 10. and b = 1 and reps = 10 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let t_base = ref 0. and t_naive = ref 0. and t_inc = ref 0. and steps_total = ref 0 in
   for rep = 1 to reps do
     let inst =
@@ -474,15 +161,25 @@ let bench_stability_detection () =
   Printf.printf "  end-to-end speedup:  %.1fx\n" (!t_naive /. !t_inc);
   Printf.printf "  detection overhead:  %.1fx  (%.4f s -> %.4f s)\n%!"
     ((!t_naive -. !t_base) /. (!t_inc -. !t_base))
-    (!t_naive -. !t_base) (!t_inc -. !t_base)
+    (!t_naive -. !t_base) (!t_inc -. !t_base);
+  manifest ~name:"bench_stability"
+    ~checksums:[ ("checksum.stability_steps", !steps_total) ]
+    [
+      ("stability/n", float_of_int n);
+      ("stability/runs", float_of_int reps);
+      ("stability/step_only_s", !t_base);
+      ("stability/naive_s", !t_naive);
+      ("stability/incremental_s", !t_inc);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: implicit-backend / flat-config matching core                *)
+(* core: implicit-backend / flat-config matching core                  *)
 
 (* Faithful replica of the pre-rewrite matching core: materialized
    adjacency rows, [int list] mate storage with a cached worst rank,
    List.length degrees, and the same scan/early-stop structure as
-   [Blocking].  The ≥5x claim in BENCH_core.json is measured against
+   [Blocking].  The ≥5x claim in the core section of BENCH.json is
+   measured against
    this real old representation, not a straw man. *)
 module Legacy = struct
   type config = {
@@ -615,14 +312,8 @@ let fnv_pairs iter =
 
 let bench_core () =
   print_endline "\n================ Implicit-backend / flat-config core ================";
-  let module Obs = Stratify_obs in
   let n = 10_000 and b0 = 6 in
   let b = Array.make n b0 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* New core: implicit complete acceptance graph, flat-array config. *)
   let inst = Instance.complete ~n ~b () in
   let stable = Greedy.stable_config inst in
@@ -786,52 +477,39 @@ let bench_core () =
   Printf.printf "    allocation churn: %.1f Mwords minor, %.2f Mwords promoted\n%!" minor_mwords
     promoted_mwords;
 
-  (* Publish as a run manifest: "checksum.*" counters are pinned exactly
-     by the bench-regression job; "rate/*" metrics fail CI when more
-     than --max-slowdown slower than the committed baseline. *)
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_stable_config") cs_stable;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_sweep_probes") probes_per_sweep;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_dyn_stable_active") active_core;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_fill_config") cs_fill_core;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_complete_1e5_edges") edges5;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_complete_1e5_clusters") clusters5;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_core" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("n", float_of_int n);
-          ("b0", float_of_int b0);
-          ("rate/sweep_probes_legacy", rate_sweep_legacy);
-          ("rate/sweep_probes_core", rate_sweep_core);
-          ("rate/dyn_stable_steps_legacy", rate_dyn_legacy);
-          ("rate/dyn_stable_steps_core", rate_dyn_core);
-          ("rate/fill_steps_legacy", rate_fill_legacy);
-          ("rate/fill_steps_core", rate_fill_core);
-          ("speedup/sweep", rate_sweep_core /. rate_sweep_legacy);
-          ("speedup/dyn_stable", rate_dyn_core /. rate_dyn_legacy);
-          ("speedup/fill", rate_fill_core /. rate_fill_legacy);
-          ("mem/complete_1e5_live_mb", live_mb);
-          ("mem/complete_1e5_dense_equiv_mb", dense_mb);
-          ("mem/complete_1e5_minor_mwords", minor_mwords);
-          ("mem/complete_1e5_promoted_mwords", promoted_mwords);
-        ]
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_CORE_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_core.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  (* "checksum.*" counters are pinned exactly by `manifest_check bench`;
+     "rate/*" metrics fail it when more than --max-slowdown slower than
+     the committed baseline. *)
+  manifest ~name:"bench_core"
+    ~checksums:
+      [
+        ("checksum.core_stable_config", cs_stable);
+        ("checksum.core_sweep_probes", probes_per_sweep);
+        ("checksum.core_dyn_stable_active", active_core);
+        ("checksum.core_fill_config", cs_fill_core);
+        ("checksum.core_complete_1e5_edges", edges5);
+        ("checksum.core_complete_1e5_clusters", clusters5);
+      ]
+    [
+      ("n", float_of_int n);
+      ("b0", float_of_int b0);
+      ("rate/sweep_probes_legacy", rate_sweep_legacy);
+      ("rate/sweep_probes_core", rate_sweep_core);
+      ("rate/dyn_stable_steps_legacy", rate_dyn_legacy);
+      ("rate/dyn_stable_steps_core", rate_dyn_core);
+      ("rate/fill_steps_legacy", rate_fill_legacy);
+      ("rate/fill_steps_core", rate_fill_core);
+      ("speedup/sweep", rate_sweep_core /. rate_sweep_legacy);
+      ("speedup/dyn_stable", rate_dyn_core /. rate_dyn_legacy);
+      ("speedup/fill", rate_fill_core /. rate_fill_legacy);
+      ("mem/complete_1e5_live_mb", live_mb);
+      ("mem/complete_1e5_dense_equiv_mb", dense_mb);
+      ("mem/complete_1e5_minor_mwords", minor_mwords);
+      ("mem/complete_1e5_promoted_mwords", promoted_mwords);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 4b: per-phase profile + the zero-alloc steady-state gate       *)
+(* profile: per-phase profile + the zero-alloc steady-state gate       *)
 
 (* The allocation contract of the rewritten core (DESIGN.md §13),
    asserted: once converged, probing and repairing allocate (next to)
@@ -844,13 +522,7 @@ let bench_core () =
 let bench_profile_phases () =
   print_endline
     "\n================ Per-phase profile / zero-alloc steady state ================";
-  let module Obs = Stratify_obs in
   let n = 10_000 and b0 = 6 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let inst = Instance.complete ~n ~b:(Array.make n b0) () in
   let stable = Greedy.stable_config inst in
   let cs_stable = fnv_pairs (fun f -> Config.iter_pairs f stable) in
@@ -934,7 +606,6 @@ let bench_profile_phases () =
   (* (c) The instrumented build kernels under Profile: arena-reused
      greedy builds, the cut scan and a banded solve.  The snapshot
      becomes the manifest's "profile" section. *)
-  Obs.Profile.reset ();
   Obs.Profile.set_enabled true;
   let arena = Greedy.create_arena () in
   let builds = 5 in
@@ -956,58 +627,33 @@ let bench_profile_phases () =
         (r.wall_s *. 1e3) r.count r.ops r.minor_words)
     (Obs.Profile.snapshot ());
 
-  (* Publish: the zero-alloc verdicts are pinned exactly as checksum
-     counters (so CI fails loudly if a regression slips past the local
-     failwith), rates ratchet via rate/*, and the per-kernel rows ride
-     in the manifest's profile section. *)
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.profile_stable_config") cs_stable;
-  Obs.Counter.add (Obs.Counter.make "checksum.profile_sweep_initiatives") sweep_initiatives;
-  Obs.Counter.add (Obs.Counter.make "checksum.profile_repair_initiatives") !total_active;
-  Obs.Counter.add
-    (Obs.Counter.make "checksum.profile_sweep_zero_alloc")
-    (if sweep_zero_alloc then 1 else 0);
-  Obs.Counter.add
-    (Obs.Counter.make "checksum.profile_repair_zero_alloc")
-    (if repair_zero_alloc then 1 else 0);
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_profile" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("n", float_of_int n);
-          ("b0", float_of_int b0);
-          ("rate/profile_sweep_initiatives", rate_sweep);
-          ("rate/profile_repair_initiatives", rate_repair);
-          ("alloc/sweep_minor_words", sweep_minor);
-          ("alloc/repair_minor_words_per_initiative", repair_words_per_initiative);
-        ]
-      ()
-  in
-  (* Keep later bench sections' manifests profile-free. *)
-  Obs.Profile.reset ();
-  let out =
-    match Sys.getenv_opt "BENCH_PROFILE_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_profile.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  (* The zero-alloc verdicts are pinned exactly as checksums (so the
+     compare fails loudly if a regression slips past the local failwith),
+     rates ratchet via rate/*, and the per-kernel rows ride in the
+     manifest's profile section. *)
+  manifest ~name:"bench_profile"
+    ~checksums:
+      [
+        ("checksum.profile_stable_config", cs_stable);
+        ("checksum.profile_sweep_initiatives", sweep_initiatives);
+        ("checksum.profile_repair_initiatives", !total_active);
+        ("checksum.profile_sweep_zero_alloc", if sweep_zero_alloc then 1 else 0);
+        ("checksum.profile_repair_zero_alloc", if repair_zero_alloc then 1 else 0);
+      ]
+    [
+      ("n", float_of_int n);
+      ("b0", float_of_int b0);
+      ("rate/profile_sweep_initiatives", rate_sweep);
+      ("rate/profile_repair_initiatives", rate_repair);
+      ("alloc/sweep_minor_words", sweep_minor);
+      ("alloc/repair_minor_words_per_initiative", repair_words_per_initiative);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: convergence schedulers — random polling vs active worklist  *)
+(* sched: convergence schedulers — random polling vs active worklist   *)
 
 let bench_sched () =
   print_endline "\n================ Convergence scheduler (random poll vs worklist) ================";
-  let module Obs = Stratify_obs in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* Race both policies from the empty configuration to the (unique,
      Theorem 1) stable configuration.  [run_until_stable] counts every
      initiative attempt; under [Worklist] it terminates the moment the
@@ -1068,64 +714,45 @@ let bench_sched () =
   (* Pin exact determinism: the shared final configuration of each case
      and the worklist attempt counts (the worklist draws no randomness
      with the best-mate strategy, so these are schedule-determined). *)
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_complete_config") c_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_complete_worklist_attempts") c_aw;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_complete_worklist_active") c_actw;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_gnd_config") g_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_gnd_worklist_attempts") g_aw;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_gnd_worklist_active") g_actw;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_sched" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("complete/n", float_of_int n4);
-          ("complete/b0", float_of_int b0);
-          ("complete/attempts_random", float_of_int c_ar);
-          ("complete/attempts_worklist", float_of_int c_aw);
-          ("complete/attempts_ratio", c_ratio);
-          ("complete/wall_random_s", c_dtr);
-          ("complete/wall_worklist_s", c_dtw);
-          ("rate/sched_complete_random", float_of_int c_ar /. c_dtr);
-          ("rate/sched_complete_worklist", float_of_int c_aw /. c_dtw);
-          ("gnd/n", float_of_int n5);
-          ("gnd/d", d);
-          ("gnd/attempts_random", float_of_int g_ar);
-          ("gnd/attempts_worklist", float_of_int g_aw);
-          ("gnd/attempts_ratio", g_ratio);
-          ("gnd/wall_random_s", g_dtr);
-          ("gnd/wall_worklist_s", g_dtw);
-          ("rate/sched_gnd_random", float_of_int g_ar /. g_dtr);
-          ("rate/sched_gnd_worklist", float_of_int g_aw /. g_dtw);
-        ]
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_SCHED_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_sched.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  manifest ~name:"bench_sched"
+    ~checksums:
+      [
+        ("checksum.sched_complete_config", c_cs);
+        ("checksum.sched_complete_worklist_attempts", c_aw);
+        ("checksum.sched_complete_worklist_active", c_actw);
+        ("checksum.sched_gnd_config", g_cs);
+        ("checksum.sched_gnd_worklist_attempts", g_aw);
+        ("checksum.sched_gnd_worklist_active", g_actw);
+      ]
+    [
+      ("complete/n", float_of_int n4);
+      ("complete/b0", float_of_int b0);
+      ("complete/attempts_random", float_of_int c_ar);
+      ("complete/attempts_worklist", float_of_int c_aw);
+      ("complete/attempts_ratio", c_ratio);
+      ("complete/wall_random_s", c_dtr);
+      ("complete/wall_worklist_s", c_dtw);
+      ("rate/sched_complete_random", float_of_int c_ar /. c_dtr);
+      ("rate/sched_complete_worklist", float_of_int c_aw /. c_dtw);
+      ("gnd/n", float_of_int n5);
+      ("gnd/d", d);
+      ("gnd/attempts_random", float_of_int g_ar);
+      ("gnd/attempts_worklist", float_of_int g_aw);
+      ("gnd/attempts_ratio", g_ratio);
+      ("gnd/wall_random_s", g_dtr);
+      ("gnd/wall_worklist_s", g_dtw);
+      ("rate/sched_gnd_random", float_of_int g_ar /. g_dtr);
+      ("rate/sched_gnd_worklist", float_of_int g_aw /. g_dtw);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: stratify.net dispatch overhead                              *)
+(* net: stratify.net dispatch overhead                                 *)
 
 let bench_net () =
   print_endline
     "\n================ Network layer (fault-free Net.send vs Engine.schedule_packed) ================";
-  let module Obs = Stratify_obs in
   let module Net = Stratify_net.Net in
   let module Engine = Stratify_des.Engine in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* Every Async_dynamics message crosses Net.send; the fault-free
      configuration must stay within 1.15x of scheduling the same packed
      event on the engine directly, or routing through the network has a
@@ -1235,51 +862,32 @@ let bench_net () =
   Printf.printf "  faulty-pipeline delivery checksum over %d sends: %d delivered, lost %d, dup %d\n%!"
     trace_events (Net.delivered net) (Net.lost net) (Net.duplicated net);
 
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace") cs_trace;
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace_delivered") (Net.delivered net);
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace_lost") (Net.lost net);
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace_partitioned") (Net.partitioned net);
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace_duplicated") (Net.duplicated net);
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace_reordered") (Net.reordered net);
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_net" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("events", float_of_int events);
-          ("rate/net_dispatch", rate_net);
-          ("rate/engine_dispatch", rate_engine);
-          ("overhead/fault_free", overhead);
-        ]
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_NET_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_net.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  manifest ~name:"bench_net"
+    ~checksums:
+      [
+        ("checksum.net_trace", cs_trace);
+        ("checksum.net_trace_delivered", Net.delivered net);
+        ("checksum.net_trace_lost", Net.lost net);
+        ("checksum.net_trace_partitioned", Net.partitioned net);
+        ("checksum.net_trace_duplicated", Net.duplicated net);
+        ("checksum.net_trace_reordered", Net.reordered net);
+      ]
+    [
+      ("events", float_of_int events);
+      ("rate/net_dispatch", rate_net);
+      ("rate/engine_dispatch", rate_engine);
+      ("overhead/fault_free", overhead);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 7: rank-banded sharded matching                                *)
+(* shard: rank-banded sharded matching                                 *)
 
 let bench_shard () =
   print_endline "\n================ Sharded matching (rank bands over the domain pool) ================";
-  let module Obs = Stratify_obs in
   let n = 1_000_000 and b0 = 3 in
   let inst = Instance.complete ~n ~b:(Array.make n b0) () in
   let jobs = Exec.default_jobs () in
   let cores = Domain.recommended_domain_count () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* bands = 1 short-circuits to the plain greedy — that IS the
      baseline the speedups are measured against. *)
   let runs =
@@ -1322,54 +930,31 @@ let bench_shard () =
       (Printf.sprintf "bench.shard: %.2fx speedup at 4 bands on %d cores (need >= 1.5x)" s4 cores);
   if cores < 4 then
     Printf.printf "  (%d cores: speedup gate skipped, invariance still asserted)\n%!" cores;
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.shard_config") base_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.shard_edges") base_edges;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_shard" ~seed:42 ~scale:1.0 ~jobs
-      ~metrics:
-        (List.concat_map
-           (fun (bands, dt, _, edges) ->
-             [
-               (Printf.sprintf "shard/wall_bands_%d_s" bands, dt);
-               (Printf.sprintf "rate/shard_bands_%d" bands, float_of_int edges /. dt);
-             ])
-           runs
-        @ [
-            ("shard/n", float_of_int n);
-            ("shard/b0", float_of_int b0);
-            ("shard/jobs", float_of_int jobs);
-            ("shard/cores", float_of_int cores);
-            ("shard/speedup_4", s4);
-            ("shard/speedup_8", s8);
-          ])
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_SHARD_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_shard.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  manifest ~name:"bench_shard" ~jobs
+    ~checksums:[ ("checksum.shard_config", base_cs); ("checksum.shard_edges", base_edges) ]
+    (List.concat_map
+       (fun (bands, dt, _, edges) ->
+         [
+           (Printf.sprintf "shard/wall_bands_%d_s" bands, dt);
+           (Printf.sprintf "rate/shard_bands_%d" bands, float_of_int edges /. dt);
+         ])
+       runs
+    @ [
+        ("shard/n", float_of_int n);
+        ("shard/b0", float_of_int b0);
+        ("shard/jobs", float_of_int jobs);
+        ("shard/cores", float_of_int cores);
+        ("shard/speedup_4", s4);
+        ("shard/speedup_8", s8);
+      ])
 
 (* ------------------------------------------------------------------ *)
-(* Part 8: scenario-matrix expansion and execution                     *)
+(* matrix: scenario-matrix expansion and execution                     *)
 
 let bench_matrix () =
   print_endline "\n================ Scenario matrix (expansion + cell execution) ================";
-  let module Obs = Stratify_obs in
   let module Matrix = Stratify_net_plan.Matrix in
   let module Plan = Stratify_net_plan.Plan in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* Expansion throughput: the generator is pure, so repeated expansion
      is the honest unit of work; the checksum pins the cell list
      (names, order, per-cell seeds) across machines. *)
@@ -1411,36 +996,23 @@ let bench_matrix () =
   in
   Printf.printf "  run: %d cells in %.3f s on %d jobs (metrics checksum %d)\n%!"
     (Array.length subset) run_dt jobs metrics_cs;
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.matrix_cells") cells_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.matrix_cardinality") Matrix.cardinality;
-  Obs.Counter.add (Obs.Counter.make "checksum.matrix_metrics") metrics_cs;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_matrix" ~seed:42 ~scale:1.0 ~jobs
-      ~metrics:
-        [
-          ("rate/matrix_expand", float_of_int (Matrix.cardinality * reps) /. expand_dt);
-          ("rate/matrix_run", float_of_int (Array.length subset) /. run_dt);
-          ("matrix/cells", float_of_int Matrix.cardinality);
-          ("matrix/subset", float_of_int (Array.length subset));
-          ("matrix/jobs", float_of_int jobs);
-        ]
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_MATRIX_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_matrix.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  manifest ~name:"bench_matrix" ~jobs
+    ~checksums:
+      [
+        ("checksum.matrix_cells", cells_cs);
+        ("checksum.matrix_cardinality", Matrix.cardinality);
+        ("checksum.matrix_metrics", metrics_cs);
+      ]
+    [
+      ("rate/matrix_expand", float_of_int (Matrix.cardinality * reps) /. expand_dt);
+      ("rate/matrix_run", float_of_int (Array.length subset) /. run_dt);
+      ("matrix/cells", float_of_int Matrix.cardinality);
+      ("matrix/subset", float_of_int (Array.length subset));
+      ("matrix/jobs", float_of_int jobs);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 9: event engine under three DES workloads                      *)
+(* des: event engine under three DES workloads                         *)
 
 (* bench.des: the event engine's throughput and determinism.
 
@@ -1462,7 +1034,6 @@ let bench_matrix () =
    delivery, is a pure function of the schedule. *)
 let bench_des () =
   print_endline "\n================ Event engine (cascade, swarm-md, async) ================";
-  let module Obs = Stratify_obs in
   let module Eng = Stratify_des.Engine in
   let module Net = Stratify_net.Net in
 
@@ -1574,48 +1145,33 @@ let bench_des () =
   (* Publish.  Checksums are pinned exactly; rate/* ride the
      max-slowdown gate; the profile rows put the event layer under the
      same zero-alloc ratchet as the matching kernels. *)
-  Obs.Profile.reset ();
   Obs.Profile.set_enabled true;
   Obs.Profile.record "des.cascade" ~ops:cascade_fired ~minor_words:cascade_minor
     ~wall_s:cascade_dt ();
   Obs.Profile.record "des.swarm_md" ~ops:swarm_events ~wall_s:swarm_dt ();
   Obs.Profile.set_enabled false;
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_cascade") cascade_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_cascade_fired") cascade_fired;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_cascade_zero_alloc") 1;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_swarm") swarm_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_swarm_events") swarm_events;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_swarm_sent") swarm_sent;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_async_config") async_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_async_sent") async_sent;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_des" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("rate/des_cascade", cascade_rate);
-          ("rate/des_swarm_md", swarm_rate);
-          ("rate/des_async", async_rate);
-          ("des/cascade_pending", float_of_int cascade_pending);
-          ("des/swarm_ticks", float_of_int swarm_ticks);
-        ]
-      ()
-  in
-  Obs.Profile.reset ();
-  let out =
-    match Sys.getenv_opt "BENCH_DES_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_des.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  manifest ~name:"bench_des"
+    ~checksums:
+      [
+        ("checksum.des_cascade", cascade_cs);
+        ("checksum.des_cascade_fired", cascade_fired);
+        ("checksum.des_cascade_zero_alloc", 1);
+        ("checksum.des_swarm", swarm_cs);
+        ("checksum.des_swarm_events", swarm_events);
+        ("checksum.des_swarm_sent", swarm_sent);
+        ("checksum.des_async_config", async_cs);
+        ("checksum.des_async_sent", async_sent);
+      ]
+    [
+      ("rate/des_cascade", cascade_rate);
+      ("rate/des_swarm_md", swarm_rate);
+      ("rate/des_async", async_rate);
+      ("des/cascade_pending", float_of_int cascade_pending);
+      ("des/swarm_ticks", float_of_int swarm_ticks);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 10: the service layer (lib/serve).
+(* serve: the service layer (lib/serve).
 
    Three stages, replay equality first, then speed:
    (a) a mixed tracker script — two swarms (one partitioned-and-healed
@@ -1633,7 +1189,6 @@ let bench_des () =
        bucketing, every sample kept. *)
 let bench_serve () =
   print_endline "\n================ Service layer (replay equality + announce path) ================";
-  let module Obs = Stratify_obs in
   let module Serve = Stratify_serve.Serve in
   let module Req = Stratify_serve.Request in
 
@@ -1788,33 +1343,20 @@ let bench_serve () =
   Printf.printf "  announce hot path: %9.0f announces/s   p50 %7.0f ns   p99 %8.0f ns\n%!"
     announce_rate p50 p99;
 
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.serve_script") script_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.serve_script_requests") script_requests;
-  Obs.Counter.add (Obs.Counter.make "checksum.serve_stop_resume_ok") 1;
-  Obs.Counter.add (Obs.Counter.make "checksum.serve_hot") hot_cs;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_serve" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("rate/serve_announce", announce_rate);
-          ("serve/p50_announce_ns", p50);
-          ("serve/p99_announce_ns", p99);
-          ("serve/announce_count", float_of_int announces);
-        ]
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_SERVE_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_serve.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  manifest ~name:"bench_serve"
+    ~checksums:
+      [
+        ("checksum.serve_script", script_cs);
+        ("checksum.serve_script_requests", script_requests);
+        ("checksum.serve_stop_resume_ok", 1);
+        ("checksum.serve_hot", hot_cs);
+      ]
+    [
+      ("rate/serve_announce", announce_rate);
+      ("serve/p50_announce_ns", p50);
+      ("serve/p99_announce_ns", p99);
+      ("serve/announce_count", float_of_int announces);
+    ]
 
 let parts =
   [
@@ -1831,18 +1373,29 @@ let parts =
   ]
 
 let () =
-  (* BENCH_ONLY=name runs a single micro-benchmark part (see [parts]) —
-     the fast loop for regenerating one baseline or chasing one
-     regression without paying for the whole harness. *)
-  match Sys.getenv_opt "BENCH_ONLY" with
-  | Some only when only <> "" -> (
-      match List.assoc_opt only parts with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "bench: unknown BENCH_ONLY=%s (parts: %s)\n" only
-            (String.concat ", " (List.map fst parts));
-          exit 2)
-  | _ ->
-      if Sys.getenv_opt "BENCH_SKIP_REGEN" = None then regenerate ();
-      run_benchmarks ();
-      List.iter (fun (_, f) -> f ()) parts
+  let selected =
+    match Sys.getenv_opt "BENCH_ONLY" with
+    | Some only when only <> "" -> (
+        match List.assoc_opt only parts with
+        | Some f -> [ (only, f) ]
+        | None ->
+            Printf.eprintf "bench: unknown BENCH_ONLY=%s (parts: %s)\n" only
+              (String.concat ", " (List.map fst parts));
+            exit 2)
+    | _ -> parts
+  in
+  let set =
+    List.map
+      (fun (name, f) ->
+        Obs.Counter.reset_all ();
+        Obs.Histogram.reset_all ();
+        Obs.Span.reset ();
+        Obs.Profile.reset ();
+        (name, f ()))
+      selected
+  in
+  let out =
+    match Sys.getenv_opt "BENCH_OUT" with Some p when p <> "" -> p | _ -> "BENCH_candidate.json"
+  in
+  Obs.Run_manifest.write_set out set;
+  Printf.printf "\nwrote %s (%d part(s))\n" out (List.length set)

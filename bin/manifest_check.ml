@@ -3,16 +3,19 @@
    kept in the repo so it is testable and usable locally.
 
    Usage:
-     manifest_check bench  BASELINE.json CANDIDATE.json [--max-slowdown 2.0]
+     manifest_check bench  BENCH.json    CANDIDATE_SET.json [--max-slowdown 2.0]
      manifest_check golden GOLDEN.json   CANDIDATE.json [--counters k1,k2,...]
      manifest_check serve  REFERENCE.json CANDIDATE.json
      manifest_check matrix SUMMARY.json  [--cells N]
 
-   `bench` enforces the perf/correctness contract: every "checksum"
-   counter of the baseline must match the candidate exactly, and every
-   throughput metric — "replicas_per_sec/<jobs>" or any "rate/..." —
-   may not be more than --max-slowdown times slower (faster is always
-   fine — baselines only ratchet by being regenerated and committed).
+   `bench` enforces the perf/correctness contract on two bench sets
+   (Run_manifest.read_set — a bare manifest is a usage error), section
+   by section: every part of the baseline must be in the candidate;
+   within a part, every "checksum" counter of the baseline must match
+   the candidate exactly, and every throughput metric —
+   "replicas_per_sec/<jobs>" or any "rate/..." — may not be more than
+   --max-slowdown times slower (faster is always fine — baselines only
+   ratchet by being regenerated and committed).
 
    `golden` enforces determinism end to end: the named counters (default:
    all counters recorded in the golden manifest) must match exactly, as
@@ -112,6 +115,16 @@ let check_bench ~max_slowdown baseline candidate =
           end)
     baseline.M.profile
 
+let check_bench_set ~max_slowdown baseline candidate =
+  List.iter
+    (fun (part, base) ->
+      match List.assoc_opt part candidate with
+      | None -> fail "part %s missing from candidate" part
+      | Some cand ->
+          Printf.printf "[%s]\n" part;
+          check_bench ~max_slowdown base cand)
+    baseline
+
 let check_golden ~counters golden candidate =
   if golden.M.name <> candidate.M.name then
     fail "experiment name: golden %s, candidate %s" golden.M.name candidate.M.name;
@@ -201,7 +214,7 @@ let check_matrix ~expected_cells path =
   ok "%d cell(s) named and seeded consistently" count
 
 let usage_text =
-  "usage: manifest_check bench BASELINE CANDIDATE [--max-slowdown X]\n\
+  "usage: manifest_check bench BASELINE_SET CANDIDATE_SET [--max-slowdown X]\n\
   \       manifest_check golden GOLDEN CANDIDATE [--counters k1,k2,...]\n\
   \       manifest_check serve REFERENCE CANDIDATE\n\
   \       manifest_check matrix SUMMARY [--cells N]"
@@ -271,25 +284,29 @@ let () =
       in
       read "summary" (check_matrix ~expected_cells) path
   | "matrix", _ -> usage_error "matrix takes one SUMMARY"
+  | "bench", [ base_path; cand_path ] ->
+      let max_slowdown =
+        match opt "--max-slowdown" with
+        | None -> 2.0
+        | Some v -> (
+            match float_of_string_opt v with
+            | Some x -> x
+            | None -> usage_error "bad --max-slowdown %S (want a number)" v)
+      in
+      let baseline = read "bench set" M.read_set base_path
+      and candidate = read "bench set" M.read_set cand_path in
+      Printf.printf "bench: %s vs %s\n" base_path cand_path;
+      check_bench_set ~max_slowdown baseline candidate
   | _, [ base_path; cand_path ] -> (
       let baseline = read "manifest" M.read base_path
       and candidate = read "manifest" M.read cand_path in
       Printf.printf "%s: %s vs %s\n" mode base_path cand_path;
       match mode with
-      | "bench" ->
-          let max_slowdown =
-            match opt "--max-slowdown" with
-            | None -> 2.0
-            | Some v -> (
-                match float_of_string_opt v with
-                | Some x -> x
-                | None -> usage_error "bad --max-slowdown %S (want a number)" v)
-          in
-          check_bench ~max_slowdown baseline candidate
       | "golden" ->
           check_golden ~counters:(Option.map (String.split_on_char ',') (opt "--counters")) baseline
             candidate
       | _ -> check_serve baseline candidate)
+  | "bench", _ -> usage_error "bench takes two bench sets"
   | _ -> usage_error "%s takes two manifests" mode);
   if !failures > 0 then begin
     Printf.printf "%d check(s) failed\n" !failures;

@@ -172,20 +172,57 @@ let rec ensure_dir dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let write_path path t =
+let write_file path s =
   ensure_dir (Filename.dirname path);
   let oc = open_out path in
-  output_string oc (to_string t);
+  output_string oc s;
   close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  let len = in_channel_length ic in
+  let s = really_input_string ic len in
+  close_in ic;
+  s
+
+let write_path path t = write_file path (to_string t)
 
 let write ~dir t =
   let path = Filename.concat dir (Printf.sprintf "%s-%d.json" t.name t.seed) in
   write_path path t;
   path
 
-let read path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  of_string s
+let read path = of_string (read_file path)
+
+(* ------------------------------------------------------------------ *)
+(* Bench sets                                                         *)
+
+type set = (string * t) list
+
+let set_kind = "bench_set"
+
+let set_to_string parts =
+  let open Jsonx in
+  to_string
+    (Obj
+       [
+         ("schema_version", Int schema_version);
+         ("kind", String set_kind);
+         ("parts", Obj (List.map (fun (part, m) -> (part, to_json m)) parts));
+       ])
+  ^ "\n"
+
+let set_of_string s =
+  let open Jsonx in
+  let j = of_string (String.trim s) in
+  (match (member "kind" j, member "schema_version" j) with
+  | String k, Int v when k = set_kind && v = schema_version -> ()
+  | k, v ->
+      raise
+        (Parse_error
+           (Printf.sprintf "not a %s v%d: kind %s, schema_version %s" set_kind schema_version
+              (to_string ~indent:false k) (to_string ~indent:false v))));
+  List.map (fun (part, m) -> (part, of_json m)) (get_obj (member "parts" j))
+
+let write_set path parts = write_file path (set_to_string parts)
+let read_set path = set_of_string (read_file path)

@@ -69,6 +69,23 @@ val write : dir:string -> t -> string
 val write_path : string -> t -> unit
 val read : string -> t
 
+(** {2 Bench sets}
+
+    The bench harness writes all its parts' manifests into one file,
+    [{"schema_version":1,"kind":"bench_set","parts":{"<part>": <manifest>, …}}],
+    parts in run order. *)
+
+type set = (string * t) list
+
+val set_to_string : set -> string
+
+val set_of_string : string -> set
+(** Raises {!Jsonx.Parse_error} unless the document is a bench set — a
+    bare manifest is rejected by its kind. *)
+
+val write_set : string -> set -> unit
+val read_set : string -> set
+
 val git_describe : unit -> string
 (** [git describe --always --dirty], or ["unknown"] outside a work
     tree. *)

@@ -319,7 +319,11 @@ let test_manifest_roundtrip () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "stratify-obs-test" in
   let path = Obs.Run_manifest.write ~dir m in
   Alcotest.(check bool) "file name" true (Filename.basename path = "fig1-42.json");
-  Alcotest.(check bool) "file round-trips" true (Obs.Run_manifest.read path = m)
+  Alcotest.(check bool) "file round-trips" true (Obs.Run_manifest.read path = m);
+  (* A bench set keeps its parts in run order. *)
+  let set = [ ("parallel", m); ("core", { m with name = "bench_core" }) ] in
+  Alcotest.(check bool) "bench set round-trips" true
+    (Obs.Run_manifest.(set_of_string (set_to_string set)) = set)
 
 let test_capture_snapshots_probes () =
   with_obs (fun () ->
