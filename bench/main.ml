@@ -38,7 +38,7 @@ let time f =
 
 (* A part's manifest: the checksums it declares (zero values included —
    a zero can be the pinned value), any obs counter it left nonzero, its
-   metrics, and the spans, histograms and profile rows it recorded.  The
+   metrics, and the histograms and profile rows it recorded.  The
    harness resets all of those before each part. *)
 let manifest ~name ?(jobs = 1) ~checksums metrics =
   let m = Obs.Run_manifest.capture ~kind:"bench" ~name ~seed:42 ~scale:1.0 ~jobs ~metrics () in
@@ -54,7 +54,7 @@ let bench_parallel_scaling () =
   print_endline "\n================ Parallel replication scaling ================";
   (* Fig 9's Monte-Carlo kernel: one G(n,p) instance solved to stability.
      The whole part runs with the stratify.obs probes on, so its manifest
-     also carries the exec/greedy counters and per-job-count spans. *)
+     also carries the exec/greedy counters. *)
   let n = 500 and p = 0.02 and replicas = 24 in
   let kernel rng _i =
     let adj = Gen.gnp_adjacency rng ~n ~p in
@@ -65,10 +65,7 @@ let bench_parallel_scaling () =
   let time_once jobs =
     let rng = Rng.create 42 in
     let results, dt =
-      time (fun () ->
-          Obs.Span.with_
-            (Printf.sprintf "bench.jobs_%d" jobs)
-            (fun () -> Exec.map_replicas ~jobs ~rng ~replicas kernel))
+      time (fun () -> Exec.map_replicas ~jobs ~rng ~replicas kernel)
     in
     (float_of_int replicas /. dt, Array.fold_left ( + ) 0 results)
   in
@@ -519,7 +516,7 @@ let bench_core () =
    build kernels under Stratify_obs.Profile and publishes the per-kernel
    wall/GC rows as the manifest's "profile" section, which the
    bench-regression job ratchets. *)
-let bench_profile_phases () =
+let bench_profile () =
   print_endline
     "\n================ Per-phase profile / zero-alloc steady state ================";
   let n = 10_000 and b0 = 6 in
@@ -1362,7 +1359,7 @@ let parts =
   [
     ("parallel", bench_parallel_scaling);
     ("core", bench_core);
-    ("profile", bench_profile_phases);
+    ("profile", bench_profile);
     ("sched", bench_sched);
     ("net", bench_net);
     ("shard", bench_shard);
@@ -1389,7 +1386,6 @@ let () =
       (fun (name, f) ->
         Obs.Counter.reset_all ();
         Obs.Histogram.reset_all ();
-        Obs.Span.reset ();
         Obs.Profile.reset ();
         (name, f ()))
       selected

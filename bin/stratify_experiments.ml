@@ -78,21 +78,12 @@ let band_overlap_arg =
 let manifest_arg =
   let doc =
     "Directory to write one JSON run manifest per experiment (created if missing): seed, scale, \
-     jobs, git describe, per-phase wall/CPU timings, and the step / active-initiative / rewire / \
-     chunk counter totals.  Enables the stratify.obs probes for the run; counter totals are \
-     identical for every --jobs value."
+     jobs, git describe, the step / active-initiative / rewire / chunk counter totals, and \
+     per-region profile rows (wall time, entry and operation counts, GC allocation deltas) for \
+     the experiment, the Exec drains and the instrumented matching kernels.  Enables the \
+     stratify.obs probes for the run; counter totals are identical for every --jobs value."
   in
   Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"DIR" ~doc)
-
-let profile_phases_arg =
-  let doc =
-    "Record a per-kernel profile section in the run manifests (requires --manifest): wall time, \
-     entry and operation counts, and GC allocation deltas (minor/major/promoted words) for the \
-     instrumented matching kernels (greedy build, cluster-cut scan, band solves, stitch, \
-     fixup).  Purely additive — without this flag the manifests are byte-identical to previous \
-     versions."
-  in
-  Arg.(value & flag & info [ "profile-phases" ] ~doc)
 
 (* Exit codes: 0 on success and for --help/--version; 2 for a command
    line that does not parse or validate (an unknown flag, a bad value),
@@ -104,8 +95,7 @@ let exits =
     Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an unexpected internal error.";
   ]
 
-let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-    profile_phases =
+let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap =
   let ctx =
     {
       E.seed;
@@ -117,7 +107,6 @@ let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band
       scheduler;
       bands;
       band_overlap;
-      profile_phases;
     }
   in
   (* Same checks (and messages) as the library entry point. *)
@@ -126,11 +115,8 @@ let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band
   | exception Invalid_argument msg -> `Error (false, msg)
 
 let run_experiment entry seed scale csv_dir jobs manifest_dir n_override scheduler bands
-    band_overlap profile_phases =
-  match
-    context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-      profile_phases
-  with
+    band_overlap =
+  match context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap with
   | `Error _ as e -> e
   | `Ok ctx ->
       E.run_named ctx entry;
@@ -143,16 +129,12 @@ let experiment_cmd ((name, description, _) as entry) =
     Term.(
       ret
         (const (run_experiment entry) $ seed_arg $ scale_arg $ csv_arg $ jobs_arg $ manifest_arg
-       $ n_arg $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg))
+       $ n_arg $ scheduler_arg $ bands_arg $ band_overlap_arg))
 
 let all_cmd =
   let doc = "Run every experiment in sequence." in
-  let run seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-      profile_phases =
-    match
-      context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-        profile_phases
-    with
+  let run seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap =
+    match context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap with
     | `Error _ as e -> e
     | `Ok ctx ->
         List.iter (E.run_named ctx) E.all;
@@ -162,7 +144,7 @@ let all_cmd =
     Term.(
       ret
         (const run $ seed_arg $ scale_arg $ csv_arg $ jobs_arg $ manifest_arg $ n_arg
-       $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg))
+       $ scheduler_arg $ bands_arg $ band_overlap_arg))
 
 let list_cmd =
   let doc = "List available experiments." in

@@ -20,7 +20,6 @@ type context = {
   scheduler : Scheduler.policy;
   bands : int;
   band_overlap : int option;
-  profile_phases : bool;
 }
 
 let default_context =
@@ -34,7 +33,6 @@ let default_context =
     scheduler = Scheduler.Random_poll;
     bands = 1;
     band_overlap = None;
-    profile_phases = false;
   }
 
 (* Contexts also arrive from library callers (the bench harness builds
@@ -1249,15 +1247,14 @@ let run_named ctx (name, _desc, f) =
   | Some dir ->
       Obs.Counter.reset_all ();
       Obs.Histogram.reset_all ();
-      Obs.Span.reset ();
       Obs.Profile.reset ();
       Obs.Control.set_enabled true;
-      if ctx.profile_phases then Obs.Profile.set_enabled true;
+      Obs.Profile.set_enabled true;
       Fun.protect
         ~finally:(fun () ->
           Obs.Control.set_enabled false;
           Obs.Profile.set_enabled false)
-        (fun () -> Obs.Span.with_ name (fun () -> f ctx));
+        (fun () -> Obs.Profile.with_ name (fun () -> f ctx));
       let manifest =
         Obs.Run_manifest.capture ~kind:"experiment" ~name ~seed:ctx.seed ~scale:ctx.scale
           ~jobs:ctx.jobs ()

@@ -18,7 +18,6 @@ type context = {
   scheduler : Stratify_core.Scheduler.policy;
   bands : int;
   band_overlap : int option;
-  profile_phases : bool;
 }
 (** [jobs] is the worker-domain count handed to {!Stratify_exec.Exec} by
     the Monte-Carlo-heavy experiments (fig1, table1, fig6, fig9, scaling).
@@ -28,11 +27,16 @@ type context = {
     [manifest_dir], when set, turns observability on for the run: each
     experiment executed through {!run_named} then writes a
     {!Stratify_obs.Run_manifest} JSON record
-    ([<dir>/<name>-<seed>.json]) with per-phase timings, counter totals
-    (steps / active initiatives / rewires / chunks) and chunk-latency
-    histograms.  Counter totals are deterministic for a given seed and
-    identical for every [jobs] value, which is what the golden-manifest
-    CI job pins.
+    ([<dir>/<name>-<seed>.json]) with counter totals (steps / active
+    initiatives / rewires / chunks), chunk-latency histograms and a
+    [profile] section of {!Stratify_obs.Profile} rows: one for the
+    experiment itself, "exec.drain" / "exec.merge" and the instrumented
+    kernels ("greedy.build", "shard.cluster_cuts", "shard.band_solve",
+    "shard.stitch", "shard.fixup"), each with wall time, entry/op counts
+    and GC allocation deltas.  Counter totals are deterministic for a
+    given seed and identical for every [jobs] value, which is what the
+    golden-manifest CI job pins; profile rows are timings, which the
+    golden comparison ignores.
 
     [n_override], when set, replaces the population size of the
     complete-acceptance-graph experiments (fig4, table1, fig6) —
@@ -56,19 +60,11 @@ type context = {
     solved on the [jobs] domain pool, boundaries reconciled by the
     worklist fixup.  Results are identical for every band count —
     fig4 pins this with the [checksum.fig4_graph]/[checksum.fig4_clusters]
-    manifest counters.
-
-    [profile_phases] (default false; requires [manifest_dir]) turns
-    {!Stratify_obs.Profile} on for the run: the instrumented kernels
-    ("greedy.build", "shard.cluster_cuts", "shard.band_solve",
-    "shard.stitch", "shard.fixup") record wall time, entry/op counts and
-    GC allocation deltas, written as the manifest's [profile] section.
-    Purely additive: the section is omitted when off, so default
-    manifests stay byte-identical. *)
+    manifest counters. *)
 
 val default_context : context
 (** seed 42, scale 1.0, no CSV, [jobs = 1], no manifests, random-poll
-    scheduler, 1 band, no phase profiling. *)
+    scheduler, 1 band. *)
 
 val validate_context : context -> unit
 (** Raise a named [Invalid_argument] on out-of-range fields: scale
@@ -78,10 +74,11 @@ val validate_context : context -> unit
 
 val run_named : context -> string * string * (context -> unit) -> unit
 (** Run one registry entry.  Without [manifest_dir] this just calls the
-    function; with it, the run happens under a root {!Stratify_obs.Span}
-    named after the experiment, counters/histograms/spans are reset
-    first, and the manifest is written afterwards (observability is
-    switched back off even if the experiment raises). *)
+    function; with it, counters, histograms and profile rows are reset,
+    {!Stratify_obs.Control} and {!Stratify_obs.Profile} are switched on,
+    the run happens under a root profile region named after the
+    experiment, and the manifest is written afterwards (both switches
+    go back off even if the experiment raises). *)
 
 val fig1 : context -> unit
 (** Convergence from the empty configuration, (n,d) ∈

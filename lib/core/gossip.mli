@@ -13,7 +13,7 @@
 type t
 
 val create : Stratify_prng.Rng.t -> n:int -> view_size:int -> t
-(** Bootstrap: each peer's view holds [view_size] uniform random peers. *)
+(** Initial views: each peer's view holds [view_size] uniform random peers. *)
 
 val n : t -> int
 val view_size : t -> int

@@ -123,6 +123,7 @@ val stable_config :
     Observability (when {!Stratify_obs.Control} is on): "shard.bands",
     "shard.stitch_conflicts", "shard.fixup_seeded", "shard.fixup_active"
     and "shard.fixup_pops" counters.  When {!Stratify_obs.Profile} is
-    on, the phases record as "shard.cluster_cuts", "shard.band_solve",
-    "shard.stitch" and "shard.fixup" kernels (band solves also fold into
-    "greedy.build" from their worker domains). *)
+    on (every [--manifest] run), the steps record as
+    "shard.cluster_cuts", "shard.band_solve", "shard.stitch" and
+    "shard.fixup" rows (band solves also fold into "greedy.build" from
+    their worker domains). *)

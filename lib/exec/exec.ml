@@ -4,10 +4,10 @@ module Obs = Stratify_obs
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Observability (no-ops unless [Obs.Control.enabled]).  Counters and
-   the chunk-latency histogram are atomic, so workers record from their
-   own domains; the drain/merge spans are opened by the coordinator
-   only, which is the domain every [Exec] entry point runs on. *)
+(* Observability: counters and the chunk-latency histogram are no-ops
+   unless [Obs.Control.enabled], and atomic, so workers record from
+   their own domains; the drain/merge regions are [Obs.Profile] rows,
+   no-ops unless profiling is on. *)
 let c_chunks = Obs.Counter.make "exec.chunks"
 let c_tasks = Obs.Counter.make "exec.tasks"
 let h_chunk_ns = Obs.Histogram.make "exec.chunk_ns"
@@ -85,7 +85,7 @@ let map_replicas ?(chunk = 1) ~jobs ~rng ~replicas f =
      nor scheduling can perturb any stream. *)
   let streams = Array.init replicas (fun _ -> Rng.split rng) in
   let out = Array.make replicas None in
-  Obs.Span.with_ "exec.drain" (fun () ->
+  Obs.Profile.with_ "exec.drain" (fun () ->
       run_chunked ~chunk ~jobs ~count:replicas (fun lo hi ->
           for i = lo to hi - 1 do
             out.(i) <- Some (f streams.(i) i)
@@ -95,7 +95,7 @@ let map_replicas ?(chunk = 1) ~jobs ~rng ~replicas f =
 let map_indexed ?(chunk = 1) ~jobs ~count f =
   check_args "Exec.map_indexed" ~chunk ~jobs ~count;
   let out = Array.make count None in
-  Obs.Span.with_ "exec.drain" (fun () ->
+  Obs.Profile.with_ "exec.drain" (fun () ->
       run_chunked ~chunk ~jobs ~count (fun lo hi ->
           for i = lo to hi - 1 do
             out.(i) <- Some (f i)
@@ -110,14 +110,14 @@ let reduce_replicas ?(chunk = 1) ~jobs ~rng ~replicas ~merge map =
   let streams = Array.init replicas (fun _ -> Rng.split rng) in
   let n_chunks = (replicas + chunk - 1) / chunk in
   let accs = Array.make n_chunks None in
-  Obs.Span.with_ "exec.drain" (fun () ->
+  Obs.Profile.with_ "exec.drain" (fun () ->
       run_chunked ~chunk ~jobs ~count:replicas (fun lo hi ->
           let acc = ref (map streams.(lo) lo) in
           for i = lo + 1 to hi - 1 do
             acc := merge !acc (map streams.(i) i)
           done;
           accs.(lo / chunk) <- Some !acc));
-  Obs.Span.with_ "exec.merge" (fun () ->
+  Obs.Profile.with_ "exec.merge" (fun () ->
       Array.fold_left
         (fun acc c ->
           match acc, c with
@@ -131,10 +131,10 @@ let online_replicas ?(chunk = 1) ~jobs ~rng ~replicas f =
   let streams = Array.init replicas (fun _ -> Rng.split rng) in
   let n_chunks = (replicas + chunk - 1) / chunk in
   let accs = Array.init (max 1 n_chunks) (fun _ -> Online.create ()) in
-  Obs.Span.with_ "exec.drain" (fun () ->
+  Obs.Profile.with_ "exec.drain" (fun () ->
       run_chunked ~chunk ~jobs ~count:replicas (fun lo hi ->
           let acc = accs.(lo / chunk) in
           for i = lo to hi - 1 do
             Online.add acc (f streams.(i) i)
           done));
-  Obs.Span.with_ "exec.merge" (fun () -> Array.fold_left Online.merge (Online.create ()) accs)
+  Obs.Profile.with_ "exec.merge" (fun () -> Array.fold_left Online.merge (Online.create ()) accs)

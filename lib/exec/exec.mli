@@ -22,10 +22,10 @@
     Observability: when {!Stratify_obs.Control.enabled} is on, workers
     count claimed chunks ("exec.chunks") and replicas ("exec.tasks") and
     record per-chunk wall latency in the "exec.chunk_ns" log-scale
-    histogram; the coordinator wraps the pool drain and the final
-    reduction in the "exec.drain" / "exec.merge" spans.  None of this
-    perturbs results — probes never touch the RNG streams or the merge
-    order. *)
+    histogram.  When {!Stratify_obs.Profile} is on, the pool drain and
+    the final reduction record "exec.drain" / "exec.merge" rows.  None
+    of this perturbs results — probes never touch the RNG streams or the
+    merge order. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [--jobs] defaults to. *)

@@ -99,10 +99,3 @@ let adjacency_csr t =
     end
   done;
   (off, data)
-
-let of_adjacency_arrays arrays =
-  let g = create (Array.length arrays) in
-  Array.iteri
-    (fun u ws -> Array.iter (fun v -> if u < v then ignore (add_edge g u v)) ws)
-    arrays;
-  g

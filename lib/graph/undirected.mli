@@ -59,6 +59,3 @@ val adjacency_csr : t -> int array * int array
     One flat allocation instead of [n] row arrays — the form
     [Instance.create] freezes acceptance graphs into. *)
 
-val of_adjacency_arrays : int array array -> t
-(** Rebuild a graph from (possibly unsorted) adjacency arrays; symmetry is
-    enforced by insertion. *)

@@ -110,10 +110,14 @@ module Packed : sig
       handler. *)
 end
 
+val validate : faults -> unit
+(** Raise [Invalid_argument], naming the parameter, on out-of-range
+    fault parameters (negative latencies or spreads, probabilities
+    outside [0, 1)). *)
+
 val create : ?engine:Stratify_des.Engine.t -> Stratify_prng.Rng.t -> faults -> t
 (** Build a network over a fresh engine (or [engine]).  Raises
-    [Invalid_argument] on out-of-range fault parameters (negative
-    latencies or spreads, probabilities outside [0, 1)). *)
+    [Invalid_argument] as {!validate} does. *)
 
 val engine : t -> Stratify_des.Engine.t
 val faults : t -> faults

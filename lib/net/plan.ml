@@ -198,6 +198,24 @@ let assertion_of_json j =
   | "scheduler_fixed_point" -> Scheduler_fixed_point
   | k -> parse_fail "plan: unknown assertion kind %S" k
 
+let net_loss = function
+  | No_loss -> Net.No_loss
+  | Iid p -> Net.Iid p
+  | Burst { p_gb; p_bg; loss_good; loss_bad } -> Net.Burst { p_gb; p_bg; loss_good; loss_bad }
+
+let net_faults (s : net_spec) : Net.faults =
+  {
+    latency =
+      (match s.latency with
+      | Constant v -> Net.Constant v
+      | Jitter { base; spread } -> Net.Jitter { base; spread }
+      | Log_normal { mu; sigma } -> Net.Log_normal { mu; sigma });
+    loss = net_loss s.loss;
+    duplicate = s.duplicate;
+    reorder = s.reorder;
+    reorder_spread = s.reorder_spread;
+  }
+
 let validate t =
   let async_only what =
     match t.workload with
@@ -249,6 +267,8 @@ let validate t =
                    "plan %s: \"stratification_within\" applies to tick workloads (swarm/edonkey) only"
                    t.name)))
     t.assertions;
+  (try Net.validate (net_faults t.net)
+   with Invalid_argument msg -> invalid_arg (Printf.sprintf "plan %s: %s" t.name msg));
   List.iter
     (fun p ->
       if p.at < 0. then invalid_arg (Printf.sprintf "plan %s: partition at %g < 0" t.name p.at))
@@ -414,24 +434,6 @@ let c_disorder_scaled = Counter.make "plan.final_disorder_x1e6"
 let c_incons = Counter.make "plan.inconsistency"
 let c_drained = Counter.make "plan.drained"
 let c_strat_scaled = Counter.make "plan.strat_plus1_x1e6"
-
-let net_loss = function
-  | No_loss -> Net.No_loss
-  | Iid p -> Net.Iid p
-  | Burst { p_gb; p_bg; loss_good; loss_bad } -> Net.Burst { p_gb; p_bg; loss_good; loss_bad }
-
-let net_faults (s : net_spec) : Net.faults =
-  {
-    latency =
-      (match s.latency with
-      | Constant v -> Net.Constant v
-      | Jitter { base; spread } -> Net.Jitter { base; spread }
-      | Log_normal { mu; sigma } -> Net.Log_normal { mu; sigma });
-    loss = net_loss s.loss;
-    duplicate = s.duplicate;
-    reorder = s.reorder;
-    reorder_spread = s.reorder_spread;
-  }
 
 let resolve_groups n = function
   | Heal -> None
@@ -672,7 +674,7 @@ let execute plan =
 let run plan =
   let module Obs = Stratify_obs in
   Obs.Counter.reset_all ();
-  Obs.Span.reset ();
+  Obs.Profile.reset ();
   Obs.Control.set_enabled true;
   let checks, metrics =
     Fun.protect ~finally:(fun () -> Obs.Control.set_enabled false) (fun () -> execute plan)
@@ -681,8 +683,9 @@ let run plan =
       List.iter
         (fun c -> Counter.incr (if c.ok then c_checks_passed else c_checks_failed))
         checks);
-  (* No Span phases are opened above, so the manifest has no wall-clock
-     content: every field is a deterministic function of the plan. *)
+  (* Profile is reset and never enabled here, so the manifest has no
+     wall-clock content: every field is a deterministic function of the
+     plan. *)
   let manifest =
     Obs.Control.with_enabled true (fun () ->
         Manifest.capture ~kind:"scenario" ~name:plan.name ~seed:plan.seed ~scale:1.0 ~jobs:1
@@ -693,7 +696,7 @@ let run plan =
 let run_pure ?(kind = "matrix") ?git plan =
   let module Obs = Stratify_obs in
   (* Observability stays off for the whole execution, so nothing touches
-     the global counter/span tables: many plans can run concurrently on
+     the global counter tables: many plans can run concurrently on
      the Exec domain pool without corrupting each other's manifests.  The
      price is a counter-free manifest — its metrics (and check verdicts)
      are thread-local values, deterministic functions of the plan. *)
@@ -717,7 +720,6 @@ let run_pure ?(kind = "matrix") ?git plan =
       jobs = 1;
       git = (match git with Some g -> g | None -> Manifest.git_describe ());
       cores = Domain.recommended_domain_count ();
-      phases = [];
       counters = [];
       histograms = [];
       metrics;

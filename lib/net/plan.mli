@@ -135,15 +135,17 @@ type result = {
 
 val run : t -> result
 (** Execute the scenario under {!Stratify_obs.Control} with counters
-    reset, evaluate every assertion, and capture the manifest (kind
-    ["scenario"]).  Deterministic: counters, metrics and check outcomes
-    depend only on the plan.  Uses process-global counter state — do not
-    call concurrently; the matrix runner uses {!run_pure} instead. *)
+    and profile rows reset, evaluate every assertion, and capture the
+    manifest (kind ["scenario"]).  {!Stratify_obs.Profile} is never
+    switched on, so the manifest holds no wall-clock value.
+    Deterministic: counters, metrics and check outcomes depend only on
+    the plan.  Uses process-global counter state — do not call
+    concurrently; the matrix runner uses {!run_pure} instead. *)
 
 val run_pure : ?kind:string -> ?git:string -> t -> result
 (** Like {!run} but with observability {e off} for the whole execution:
     the manifest (kind defaults to ["matrix"]) carries no counters,
-    histograms or phases — only thread-local metrics plus
+    histograms or profile rows — only thread-local metrics plus
     [checks_passed]/[checks_failed]/[passed] — so many plans can execute
     concurrently on the {!Stratify_exec.Exec} domain pool.  [git]
     overrides the [git describe] stamp (resolve it once before a

@@ -1,10 +1,10 @@
 (** Global observability switch.
 
-    Every probe in [stratify.obs] — counters, histograms, spans — checks
-    this flag first and reduces to a single boolean load plus a
-    predictable branch when it is off.  Instrumented hot paths therefore
-    cost nothing measurable unless a run explicitly opts in (the
-    [--manifest] flag, the benchmark harness).
+    Counters and histograms check this flag first and reduce to a single
+    boolean load plus a predictable branch when it is off.  Instrumented
+    hot paths therefore cost nothing measurable unless a run explicitly
+    opts in (the [--manifest] flag, the benchmark harness).  {!Profile}
+    has its own flag.
 
     The flag is an {!Atomic.t} so worker domains spawned after
     [set_enabled true] observe the switch; toggling it {e while} a

@@ -1,11 +1,10 @@
-(* Per-kernel profiling: wall time plus GC allocation deltas, keyed by
-   kernel name.  Unlike [Span] (coordinator-only, nestable phase
-   timings), profile rows are flat per-kernel aggregates protected by a
-   mutex, because the sharded solver runs [Greedy.stable_config] inside
-   worker domains.  The enable flag is separate from [Control]: counters
-   stay cheap enough for every run, whereas reading [Gc.counters] and
-   the clock around each kernel is something only [--profile-phases]
-   runs opt into. *)
+(* Region profiling: wall time plus GC allocation deltas, keyed by
+   region name.  Rows are flat per-name aggregates protected by a mutex,
+   because the sharded solver runs [Greedy.stable_config] inside worker
+   domains.  The enable flag is separate from [Control]: counters stay
+   cheap enough for every run, whereas reading [Gc.counters] and the
+   clock around each region is something only [--manifest] runs and the
+   harnesses opt into. *)
 
 type entry = {
   kernel : string;
@@ -33,7 +32,7 @@ let[@inline always] enabled () = Atomic.get flag
 
 let mu = Mutex.create ()
 let rows : (string, row) Hashtbl.t = Hashtbl.create 16
-let order : string list ref = ref [] (* reversed first-entry order *)
+let order : string list ref = ref [] (* reversed first-record order *)
 
 (* call with [mu] held *)
 let row_of name =

@@ -1,21 +1,23 @@
-(** Per-kernel profiling: wall time and GC allocation deltas.
+(** Region profiling: wall time and GC allocation deltas.
 
-    Each [start]/[stop] pair (or [with_]) folds one interval into the
-    named kernel's aggregate: total wall seconds, entry count, a
-    caller-supplied operation count, and the [Gc.counters] deltas
-    (minor, major, promoted words) over the interval.  The allocation
-    deltas are what the zero-alloc discipline (DESIGN.md §13) is
-    checked against: a steady-state kernel's minor-words-per-op must
-    stay at (essentially) zero.
+    The one region probe of [stratify.obs].  Each [start]/[stop] pair
+    (or [with_]) folds one interval into the named region's aggregate:
+    total wall seconds, entry count, a caller-supplied operation count,
+    and the [Gc.counters] deltas (minor, major, promoted words) over the
+    interval.  The allocation deltas are what the zero-alloc discipline
+    (DESIGN.md §13) is checked against: a steady-state kernel's
+    minor-words-per-op must stay at (essentially) zero.
 
-    Unlike {!Span}, aggregates are mutex-protected, so kernels running
-    inside worker domains (sharded band solves) may record rows; and the
-    enable flag is separate from {!Control} — profiling reads the clock
-    and GC counters around every kernel entry, which only
-    [--profile-phases] runs opt into.  Instrument once-per-build kernels
-    (greedy builds, cut scans, stitches, drains), never per-initiative
-    paths.  When disabled, [start] returns a shared sentinel and the
-    whole probe is a flag test. *)
+    Regions may nest: an inner region's interval is also part of every
+    enclosing region's.  Aggregates are mutex-protected, so kernels
+    running inside worker domains (sharded band solves, [Exec] drains)
+    may record rows.  The enable flag is separate from {!Control}:
+    profiling reads the clock and GC counters around every region entry,
+    which only [--manifest] runs and the harnesses opt into.  Instrument
+    once-per-build kernels and whole steps (greedy builds, cut scans,
+    stitches, drains), never per-initiative paths.  When disabled,
+    [start] returns a shared sentinel and the whole probe is a flag
+    test. *)
 
 type entry = {
   kernel : string;
@@ -42,7 +44,8 @@ val stop : string -> ?ops:int -> snap -> unit
     when disabled or when [snap] was taken while disabled. *)
 
 val with_ : string -> ?ops:int -> (unit -> 'a) -> 'a
-(** [start]/[stop] around a thunk, exception-safe. *)
+(** [start]/[stop] around a thunk, exception-safe: the interval is
+    recorded even if the thunk raises, and the exception propagates. *)
 
 val record :
   string ->
@@ -60,7 +63,9 @@ val record :
     A no-op when disabled. *)
 
 val snapshot : unit -> entry list
-(** Current aggregates, in first-entry order. *)
+(** Current aggregates, in the order their rows were first recorded:
+    a row is recorded when its interval ends, so a nested region's row
+    precedes its enclosing region's. *)
 
 val reset : unit -> unit
 (** Drop all aggregates (the enable flag is left as-is). *)

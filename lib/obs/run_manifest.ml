@@ -1,5 +1,3 @@
-type phase = { phase : string; wall_s : float; cpu_s : float; count : int }
-
 type t = {
   schema_version : int;
   kind : string;
@@ -9,7 +7,6 @@ type t = {
   jobs : int;
   git : string;
   cores : int;
-  phases : phase list;
   counters : (string * int) list;
   histograms : (string * int array) list;
   metrics : (string * float) list;
@@ -37,10 +34,6 @@ let capture ~kind ~name ~seed ~scale ~jobs ?(metrics = []) () =
     jobs;
     git = git_describe ();
     cores = Domain.recommended_domain_count ();
-    phases =
-      List.map
-        (fun (phase, (wall_s, cpu_s, count)) -> { phase; wall_s; cpu_s; count })
-        (Span.totals ());
     counters = Counter.dump ();
     histograms = Histogram.dump ();
     metrics;
@@ -69,18 +62,6 @@ let to_json t =
       ("jobs", Int t.jobs);
       ("git", String t.git);
       ("cores", Int t.cores);
-      ( "phases",
-        List
-          (List.map
-             (fun p ->
-               Obj
-                 [
-                   ("name", String p.phase);
-                   ("wall_s", Float p.wall_s);
-                   ("cpu_s", Float p.cpu_s);
-                   ("count", Int p.count);
-                 ])
-             t.phases) );
       ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) t.counters));
       ( "histograms",
         Obj
@@ -113,19 +94,10 @@ let to_json t =
                  rows) );
         ]))
 
+(* Manifests written before the region probes were merged carry a
+   "phases" member (per-region wall/CPU rows); readers ignore it. *)
 let of_json j =
   let open Jsonx in
-  let phases =
-    List.map
-      (fun p ->
-        {
-          phase = get_string (member "name" p);
-          wall_s = get_float (member "wall_s" p);
-          cpu_s = get_float (member "cpu_s" p);
-          count = get_int (member "count" p);
-        })
-      (get_list (member "phases" j))
-  in
   {
     schema_version = get_int (member "schema_version" j);
     kind = get_string (member "kind" j);
@@ -135,7 +107,6 @@ let of_json j =
     jobs = get_int (member "jobs" j);
     git = get_string (member "git" j);
     cores = get_int (member "cores" j);
-    phases;
     counters = List.map (fun (k, v) -> (k, get_int v)) (get_obj (member "counters" j));
     histograms =
       List.map

@@ -2,9 +2,9 @@
 
     A manifest is the machine-readable summary of an experiment or
     benchmark run: identity (name, seed, scale, jobs, git describe,
-    core count), per-phase wall/CPU timings (from {!Span}), counter
-    totals (from {!Counter}), histogram bucket counts (from
-    {!Histogram}) and free-form float metrics (e.g. replicas/sec).
+    core count), counter totals (from {!Counter}), histogram bucket
+    counts (from {!Histogram}), free-form float metrics (e.g.
+    replicas/sec) and per-region wall/GC rows (from {!Profile}).
     CI jobs diff these against checked-in baselines: counter totals are
     deterministic for a given seed and jobs-invariant, so they make
     exact golden values; timings and rates are compared with a
@@ -12,8 +12,6 @@
 
     Encoding round-trips: [of_string (to_string m) = m] for every
     well-formed manifest (pinned by the test suite). *)
-
-type phase = { phase : string; wall_s : float; cpu_s : float; count : int }
 
 type t = {
   schema_version : int;
@@ -24,12 +22,11 @@ type t = {
   jobs : int;
   git : string;
   cores : int;
-  phases : phase list;
   counters : (string * int) list;
   histograms : (string * int array) list;
   metrics : (string * float) list;
   profile : Profile.entry list;
-      (** Per-kernel wall/GC rows (see {!Profile}); empty — and omitted
+      (** Per-region wall/GC rows (see {!Profile}); empty — and omitted
           from the JSON, keeping non-profiled manifests byte-identical
           to the pre-profile schema — unless the run enabled
           profiling. *)
@@ -46,8 +43,9 @@ val capture :
   ?metrics:(string * float) list ->
   unit ->
   t
-(** Snapshot the current {!Span}, {!Counter} and {!Histogram} state into
-    a manifest, stamping git describe and the machine's core count. *)
+(** Snapshot the current {!Counter}, {!Histogram} and {!Profile} state
+    into a manifest, stamping git describe and the machine's core
+    count. *)
 
 val counter : t -> string -> int option
 val metric : t -> string -> float option
@@ -57,7 +55,8 @@ val profile_row : t -> string -> Profile.entry option
 
 val to_json : t -> Jsonx.t
 val of_json : Jsonx.t -> t
-(** Raises {!Jsonx.Parse_error} on missing or ill-typed fields. *)
+(** Raises {!Jsonx.Parse_error} on missing or ill-typed fields.  A
+    legacy ["phases"] member, written by older versions, is ignored. *)
 
 val to_string : t -> string
 val of_string : string -> t

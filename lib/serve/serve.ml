@@ -549,7 +549,6 @@ let manifest ?git t =
     jobs = 1;
     git = (match git with Some g -> g | None -> Run_manifest.git_describe ());
     cores = Domain.recommended_domain_count ();
-    phases = [];
     counters =
       [
         ("checksum.serve_responses", t.checksum);

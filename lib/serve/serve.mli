@@ -74,7 +74,7 @@ val run_script : t -> unit
 
 val manifest : ?git:string -> t -> Stratify_obs.Run_manifest.t
 (** A [kind:"serve"] manifest built purely from world-internal tallies
-    (no global counters, no wall-clock, no phases): request and churn
+    (no global counters, no wall-clock, no profile rows): request and churn
     totals, the response checksum, per-swarm membership / completion /
     fault-drop / upload aggregates, and oracle occupancy.  Byte-identical
     across runs and stop/resume boundaries. *)

@@ -2,8 +2,11 @@
 # Argument handling of the command-line binaries given as arguments:
 # --help prints the usage on stdout and exits 0; an unknown flag exits 2
 # with an error on stderr that names the binary.  The file-reading
-# binaries also exit 2 on an unreadable input file.
+# binaries also exit 2 on an unreadable input file, and stratify_plan
+# on a plan whose network parameters are out of range.
 status=0
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 fail() {
   echo "FAIL $*"
@@ -30,7 +33,18 @@ for exe in "$@"; do
   missing=./no-such-dir/missing.json
   case "$name" in
     stratify_serve) expect 2 "$name --resume MISSING" "$exe" --resume "$missing" ;;
-    stratify_plan) expect 2 "$name MISSING" "$exe" "$missing" ;;
+    stratify_plan)
+      expect 2 "$name MISSING" "$exe" "$missing"
+      for net in '"loss": { "kind": "iid", "p": 1.5 }' \
+                 '"latency": { "kind": "constant", "value": -1.0 }'; do
+        printf '{ "name": "bad-net", "workload": { "kind": "async", "n": 100, "d": 10.0, "horizon": 150.0 }, "net": { %s }, "assertions": [ { "kind": "drained" } ] }\n' \
+          "$net" > "$tmp/bad.plan"
+        err=$("$exe" --out "$tmp/out" "$tmp/bad.plan" 2>&1 >/dev/null)
+        got=$?
+        [ "$got" = 2 ] || fail "$name bad net ($net): exit $got, want 2"
+        case "$err" in *"bad plan"*) ;; *) fail "$name bad net ($net): no bad plan error" ;; esac
+        case "$err" in *"Fatal error"*) fail "$name bad net ($net): uncaught exception" ;; esac
+      done ;;
     stratify_matrix) expect 2 "$name --merge OUT MISSING" "$exe" --merge ./no-such-dir/out.json "$missing" ;;
     manifest_check) expect 2 "$name golden MISSING MISSING" "$exe" golden "$missing" "$missing" ;;
   esac

@@ -16,7 +16,6 @@ let tiny =
     scheduler = Stratify_core.Scheduler.Random_poll;
     bands = 1;
     band_overlap = None;
-    profile_phases = false;
   }
 
 let experiment_cases =

@@ -772,93 +772,6 @@ let prop_relabeling_invariance =
           Config.equal (Greedy.stable_config twin) stable
           && Blocking.is_stable stable)
 
-(* ------------------------------------------------------------------ *)
-(* Stable partitions (Tan 1991)                                        *)
-
-let test_partition_of_odd_cycle () =
-  let sys = Tan.of_lists odd_cycle_prefs in
-  (* The 3-cycle itself is the stable partition. *)
-  Alcotest.(check bool) "cycle is stable partition" true
-    (Stable_partition.is_stable_partition sys [| 1; 2; 0 |]);
-  match Stable_partition.find_brute sys with
-  | None -> Alcotest.fail "Tan: a stable partition always exists"
-  | Some perm ->
-      Alcotest.(check bool) "has odd party" true
-        (Stable_partition.odd_parties perm <> []);
-      Alcotest.(check bool) "predicts no stable matching" false
-        (Stable_partition.predicts_stable_matching perm)
-
-let test_partition_cycle_decomposition () =
-  let perm = [| 1; 0; 3; 4; 2; 5 |] in
-  let ps = Stable_partition.parties perm in
-  Alcotest.(check int) "three parties" 3 (List.length ps);
-  Alcotest.(check (list (list int))) "cycles" [ [ 0; 1 ]; [ 2; 3; 4 ]; [ 5 ] ] ps;
-  Alcotest.(check (list (list int))) "odd parties" [ [ 2; 3; 4 ] ]
-    (Stable_partition.odd_parties perm)
-
-let test_stable_matching_is_stable_partition () =
-  (* Any stable matching, read as a permutation with singles fixed, is a
-     stable partition. *)
-  let rng = Helpers.rng ~seed:51 () in
-  for _ = 1 to 40 do
-    let n = 1 + Rng.int rng 7 in
-    let sys = random_tan rng n 0.7 in
-    match Roommates.solve sys with
-    | Roommates.Stable mate ->
-        let perm = Array.mapi (fun x m -> if m < 0 then x else m) mate in
-        Alcotest.(check bool) "embeds as partition" true
-          (Stable_partition.is_stable_partition sys perm)
-    | Roommates.No_stable -> ()
-  done
-
-let prop_stable_partition_always_exists =
-  Helpers.qtest ~count:200 "a stable partition always exists (Tan's theorem)"
-    QCheck.(
-      make
-        ~print:(fun (s, n) -> Printf.sprintf "seed=%d n=%d" s n)
-        Gen.(pair (int_bound 1_000_000) (int_range 1 6)))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let sys = random_tan rng n 0.7 in
-      Stable_partition.find_brute sys <> None)
-
-let prop_odd_party_criterion =
-  Helpers.qtest ~count:200 "odd parties <=> no stable matching (Tan's criterion)"
-    QCheck.(
-      make
-        ~print:(fun (s, n) -> Printf.sprintf "seed=%d n=%d" s n)
-        Gen.(pair (int_bound 1_000_000) (int_range 1 6)))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let sys = random_tan rng n 0.7 in
-      match Stable_partition.find_brute sys with
-      | None -> false
-      | Some perm ->
-          let predicted = Stable_partition.predicts_stable_matching perm in
-          let actual = match Roommates.solve sys with
-            | Roommates.Stable _ -> true
-            | Roommates.No_stable -> false
-          in
-          predicted = actual)
-
-let prop_odd_parties_invariant =
-  Helpers.qtest ~count:80 "odd-party membership is an instance invariant"
-    QCheck.(
-      make
-        ~print:(fun (s, n) -> Printf.sprintf "seed=%d n=%d" s n)
-        Gen.(pair (int_bound 1_000_000) (int_range 1 5)))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let sys = random_tan rng n 0.8 in
-      let members perm =
-        List.sort compare (List.concat (Stable_partition.odd_parties perm))
-      in
-      match Stable_partition.all_brute sys with
-      | [] -> false
-      | first :: rest ->
-          let reference = members first in
-          List.for_all (fun perm -> members perm = reference) rest)
-
 let suite =
   [
     Alcotest.test_case "ranking from scores" `Quick test_ranking_of_scores;
@@ -902,12 +815,5 @@ let suite =
       test_roommates_global_ranking_agrees_with_greedy;
     prop_roommates_matches_brute_force;
     Alcotest.test_case "roommates corner cases" `Quick test_roommates_empty_and_trivial;
-    Alcotest.test_case "stable partition of the odd cycle" `Quick test_partition_of_odd_cycle;
-    Alcotest.test_case "partition cycle decomposition" `Quick test_partition_cycle_decomposition;
-    Alcotest.test_case "stable matchings embed as partitions" `Quick
-      test_stable_matching_is_stable_partition;
     prop_relabeling_invariance;
-    prop_stable_partition_always_exists;
-    prop_odd_party_criterion;
-    prop_odd_parties_invariant;
   ]

@@ -1,8 +1,8 @@
 (* The observability layer: counters must be monotone and gated on the
-   global switch, spans must nest and unwind, histogram bucket
-   boundaries must be exact at powers of two, and run manifests must
-   round-trip through their JSON encoder — these invariants are what the
-   CI manifest comparisons stand on. *)
+   global switch, profile regions must nest and survive exceptions,
+   histogram bucket boundaries must be exact at powers of two, and run
+   manifests must round-trip through their JSON encoder — these
+   invariants are what the CI manifest comparisons stand on. *)
 
 module Obs = Stratify_obs
 
@@ -46,52 +46,45 @@ let test_counter_registry () =
     (List.mem_assoc "test.same-name" (Obs.Counter.dump ()))
 
 (* ------------------------------------------------------------------ *)
-(* Timers and spans                                                   *)
+(* Profile regions                                                    *)
 
 let spin () =
-  (* Burn a little CPU so both wall and cpu clocks advance. *)
+  (* Burn a little CPU so the wall clock advances. *)
   let acc = ref 0. in
   for i = 1 to 200_000 do
     acc := !acc +. sqrt (float_of_int i)
   done;
   ignore (Sys.opaque_identity !acc)
 
+let with_profile f =
+  Obs.Profile.reset ();
+  Obs.Profile.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Profile.set_enabled false) f
+
+let row name =
+  List.find (fun (e : Obs.Profile.entry) -> e.kernel = name) (Obs.Profile.snapshot ())
+
 let test_spans_nest () =
-  with_obs (fun () ->
-      Obs.Span.reset ();
-      Obs.Span.with_ "outer" (fun () ->
-          Alcotest.(check int) "depth inside outer" 1 (Obs.Span.depth ());
-          Obs.Span.with_ "inner" (fun () ->
-              Alcotest.(check int) "depth inside inner" 2 (Obs.Span.depth ());
-              spin ());
+  with_profile (fun () ->
+      Obs.Profile.with_ "outer" (fun () ->
+          Obs.Profile.with_ "inner" spin;
           spin ());
-      Obs.Span.with_ "outer" (fun () -> ());
-      Alcotest.(check int) "unwound" 0 (Obs.Span.depth ());
-      let totals = Obs.Span.totals () in
-      let wall name =
-        let w, _, _ = List.assoc name totals in
-        w
-      in
-      let count name =
-        let _, _, c = List.assoc name totals in
-        c
-      in
-      (* First-entry order, inner time contained in outer time. *)
-      Alcotest.(check (list string)) "chronological order" [ "outer"; "inner" ]
-        (List.map fst totals);
-      Alcotest.(check int) "outer entered twice" 2 (count "outer");
-      Alcotest.(check int) "inner entered once" 1 (count "inner");
-      Alcotest.(check bool) "outer wall >= inner wall" true (wall "outer" >= wall "inner");
-      Alcotest.(check bool) "inner wall > 0" true (wall "inner" > 0.))
+      Obs.Profile.with_ "outer" (fun () -> ());
+      (* Rows are recorded when an interval ends; inner time is contained
+         in outer time. *)
+      Alcotest.(check (list string)) "first-record order" [ "inner"; "outer" ]
+        (List.map (fun (e : Obs.Profile.entry) -> e.kernel) (Obs.Profile.snapshot ()));
+      let outer = row "outer" and inner = row "inner" in
+      Alcotest.(check int) "outer entered twice" 2 outer.count;
+      Alcotest.(check int) "inner entered once" 1 inner.count;
+      Alcotest.(check bool) "outer wall >= inner wall" true (outer.wall_s >= inner.wall_s);
+      Alcotest.(check bool) "inner wall > 0" true (inner.wall_s > 0.))
 
 let test_span_exception_safe () =
-  with_obs (fun () ->
-      Obs.Span.reset ();
-      (try Obs.Span.with_ "boom" (fun () -> failwith "kernel exploded")
-       with Failure _ -> ());
-      Alcotest.(check int) "stack unwound on raise" 0 (Obs.Span.depth ());
-      let _, _, count = List.assoc "boom" (Obs.Span.totals ()) in
-      Alcotest.(check int) "interval still recorded" 1 count)
+  with_profile (fun () ->
+      Alcotest.check_raises "exception propagates" (Failure "kernel exploded") (fun () ->
+          Obs.Profile.with_ "boom" (fun () -> failwith "kernel exploded"));
+      Alcotest.(check int) "interval still recorded" 1 (row "boom").count)
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                         *)
@@ -287,11 +280,6 @@ let test_manifest_roundtrip () =
       jobs = 7;
       git = "81de300-dirty";
       cores = 4;
-      phases =
-        [
-          { Obs.Run_manifest.phase = "fig1"; wall_s = 1.25; cpu_s = 1.1875; count = 1 };
-          { Obs.Run_manifest.phase = "exec.drain"; wall_s = 0.7071067811865476; cpu_s = 0.7; count = 3 };
-        ];
       counters = [ ("initiative.performed", 278); ("sim.steps", 4200) ];
       histograms = [ ("exec.chunk_ns", [| 0; 0; 3; 1 |]) ];
       metrics = [ ("replicas_per_sec/2", 304.94) ];
@@ -327,17 +315,33 @@ let test_manifest_roundtrip () =
 
 let test_capture_snapshots_probes () =
   with_obs (fun () ->
-      Obs.Span.reset ();
       let c = Obs.Counter.make "test.capture" in
-      Obs.Span.with_ "phase-a" (fun () -> Obs.Counter.add c 5);
+      Obs.Counter.add c 5;
       let m =
         Obs.Run_manifest.capture ~kind:"experiment" ~name:"unit" ~seed:1 ~scale:1.0 ~jobs:1 ()
       in
       Alcotest.(check bool) "captured counter" true
         (match Obs.Run_manifest.counter m "test.capture" with Some v -> v >= 5 | None -> false);
-      Alcotest.(check bool) "captured phase" true
-        (List.exists (fun p -> p.Obs.Run_manifest.phase = "phase-a") m.Obs.Run_manifest.phases);
       Alcotest.(check int) "schema version" Obs.Run_manifest.schema_version m.Obs.Run_manifest.schema_version)
+
+(* [--manifest] switches Profile on, so an experiment's manifest carries
+   a profile row named after the experiment. *)
+let test_experiment_manifest_profile () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "stratify-obs-profile" in
+  let ctx =
+    { Stratify_cli.Experiments.default_context with scale = 0.05; manifest_dir = Some dir }
+  in
+  Stratify_cli.Experiments.run_named ctx ("fig7", "", Stratify_cli.Experiments.fig7);
+  let m = Obs.Run_manifest.read (Filename.concat dir "fig7-42.json") in
+  Alcotest.(check bool) "experiment row" true (Obs.Run_manifest.profile_row m "fig7" <> None);
+  Alcotest.(check bool) "profiling switched back off" false (Obs.Profile.enabled ())
+
+(* Manifests written before the region probes were merged keep a
+   "phases" member; they must still decode. *)
+let test_legacy_phases_decode () =
+  let m = Obs.Run_manifest.read "../results/golden/fig1-42.json" in
+  Alcotest.(check string) "name" "fig1" m.Obs.Run_manifest.name;
+  Alcotest.(check bool) "counters" true (m.Obs.Run_manifest.counters <> [])
 
 let suite =
   [
@@ -357,4 +361,7 @@ let suite =
          decimal_arb decimal_law);
     Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "capture snapshots live probes" `Quick test_capture_snapshots_probes;
+    Alcotest.test_case "experiment manifest has a profile row" `Quick
+      test_experiment_manifest_profile;
+    Alcotest.test_case "legacy phases member decodes" `Quick test_legacy_phases_decode;
   ]

@@ -4,7 +4,6 @@
 
 module Rng = Stratify_prng.Rng
 module Gen = Stratify_graph.Gen
-module Undirected = Stratify_graph.Undirected
 open Stratify_core
 
 (* ------------------------------------------------------------------ *)
@@ -166,7 +165,7 @@ let from_scratch_stable w ~b =
   let inst = Churn.world_instance w in
   let n = Instance.n inst in
   let adj = Array.init n (fun p -> Instance.acceptable inst p) in
-  let fresh = Instance.create ~graph:(Undirected.of_adjacency_arrays adj) ~b:(Array.make n b) () in
+  let fresh = Instance.of_adjacency ~adj ~b:(Array.make n b) () in
   Config.signature (Greedy.stable_config fresh)
 
 let churn_world_params =

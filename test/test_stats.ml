@@ -240,11 +240,10 @@ let suite =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Correlation / Linreg / Bootstrap                                    *)
+(* Correlation / Linreg                                                *)
 
 module Correlation = Stratify_stats.Correlation
 module Linreg = Stratify_stats.Linreg
-module Bootstrap = Stratify_stats.Bootstrap
 
 let test_pearson () =
   let exact = Array.init 20 (fun i -> (float_of_int i, 2. *. float_of_int i +. 1.)) in
@@ -296,22 +295,6 @@ let test_linreg_guards () =
     (Invalid_argument "Linreg.fit: need at least two distinct x values") (fun () ->
       ignore (Linreg.fit [| (1., 1.); (1., 2.) |]))
 
-let test_bootstrap_mean () =
-  let rng = Stratify_prng.Rng.create 5 in
-  let xs = Array.init 200 (fun _ -> Stratify_prng.Dist.normal rng ~mu:10. ~sigma:2.) in
-  let iv = Bootstrap.mean_interval rng xs in
-  Alcotest.(check bool) "contains estimate" true
-    (iv.Bootstrap.low <= iv.Bootstrap.estimate && iv.Bootstrap.estimate <= iv.Bootstrap.high);
-  Alcotest.(check bool) "near true mean" true
-    (iv.Bootstrap.low < 10.5 && iv.Bootstrap.high > 9.5);
-  (* Interval width ~ 2*1.96*sigma/sqrt(n) ~ 0.55 *)
-  Alcotest.(check bool) "sane width" true (iv.Bootstrap.high -. iv.Bootstrap.low < 1.5)
-
-let test_bootstrap_guards () =
-  let rng = Stratify_prng.Rng.create 6 in
-  Alcotest.check_raises "empty" (Invalid_argument "Bootstrap.percentile: empty sample")
-    (fun () -> ignore (Bootstrap.mean_interval rng [||]))
-
 let extra_suite =
   [
     Alcotest.test_case "pearson" `Quick test_pearson;
@@ -321,8 +304,6 @@ let extra_suite =
     Alcotest.test_case "linreg exact fit" `Quick test_linreg_exact;
     Alcotest.test_case "linreg log-log power law" `Quick test_linreg_loglog;
     Alcotest.test_case "linreg guards" `Quick test_linreg_guards;
-    Alcotest.test_case "bootstrap mean interval" `Quick test_bootstrap_mean;
-    Alcotest.test_case "bootstrap guards" `Quick test_bootstrap_guards;
   ]
 
 let suite = suite @ extra_suite
